@@ -5,13 +5,10 @@ from .lstm import (
     Gradients,
     LstmConfig,
     LstmParams,
-    LstmState,
-    cell_forward,
     forward_window,
     init_params,
     loss_and_gradients,
     predict_windows,
-    zero_state,
 )
 from .restperiod import (
     RestCriteria,

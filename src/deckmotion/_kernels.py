@@ -1,14 +1,8 @@
-"""LSTM compute kernels: numba-compiled hot path with a pure-numpy twin.
+"""LSTM compute kernels in numpy: one recurrence, its BPTT, and the head.
 
-The forward/backward recurrences below dominate runtime, so they are
-JIT-compiled with numba by default. Setting DECKMOTION_DISABLE_NUMBA=1 in
-the environment selects the uncompiled numpy path instead; both paths run
-the same source, so they agree to the last bit on the same BLAS.
-
-The compiled path wins by ~5-10x wherever call dispatch dominates (single
-windows, small hidden sizes, gradient checking); for wide batches numpy's
-SIMD exp/tanh make the fallback competitive or slightly faster when numba
-has no SVML. benchmarks/bench_lstm.py measures both regimes.
+The step loop is written once, in _recur. lstm_forward runs it with an
+activation cache for lstm_backward; lstm_predict runs it without one, so
+forecasting wide batches allocates no per-step history.
 
 Array conventions shared by all kernels (everything float64):
   x      (L, B, D)  time-major window batch
@@ -23,46 +17,49 @@ o = sigmoid; c' = f*c + i*g; h' = o*tanh(c').
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_ENV = "DECKMOTION_DISABLE_NUMBA"
+# There is no compiled path; the benchmark's environment fingerprint
+# (perfbench/run.py) still reads this flag.
+NUMBA_ENABLED = False
 
 
-def lstm_forward_numpy(wx, wh, b, w_out, b_out, x):
+def _recur(wx, wh, b, x, acts=None):
+    """Run the recurrence over x from a zero state; return the last h (B, H).
+
+    When acts is given, it is a (7, L, B, H) array, and step t stores
+    i, f, g, o, c, tanh(c) and h into acts[:, t].
+    """
+    L, B, _ = x.shape
+    H = wh.shape[1]
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    for t in range(L):
+        z = np.dot(x[t], wx.T) + np.dot(h, wh.T) + b
+        i = 1.0 / (1.0 + np.exp(-z[:, :H]))
+        f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if acts is not None:
+            acts[:, t] = i, f, g, o, c, tc, h
+    return h
+
+
+def lstm_forward(wx, wh, b, w_out, b_out, x):
     """Forward pass over a window batch, keeping per-step activations.
 
     Returns (y, gi, gf, gg, go, c, tc, h): y is the (B, K) head output;
     the activation stacks are (L, B, H) and feed lstm_backward.
     """
-    L, B, _ = x.shape
-    H = wh.shape[1]
-    gi = np.empty((L, B, H))
-    gf = np.empty((L, B, H))
-    gg = np.empty((L, B, H))
-    go = np.empty((L, B, H))
-    c = np.empty((L, B, H))
-    tc = np.empty((L, B, H))
-    h = np.empty((L, B, H))
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
-    for t in range(L):
-        z = np.dot(x[t], wx.T) + np.dot(h_prev, wh.T) + b
-        gi[t] = 1.0 / (1.0 + np.exp(-z[:, :H]))
-        gf[t] = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
-        gg[t] = np.tanh(z[:, 2 * H : 3 * H])
-        go[t] = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
-        c[t] = gf[t] * c_prev + gi[t] * gg[t]
-        tc[t] = np.tanh(c[t])
-        h[t] = go[t] * tc[t]
-        h_prev = h[t]
-        c_prev = c[t]
-    y = np.dot(h_prev, w_out.T) + b_out
-    return y, gi, gf, gg, go, c, tc, h
+    acts = np.empty((7, *x.shape[:2], wh.shape[1]))
+    h = _recur(wx, wh, b, x, acts)
+    return (np.dot(h, w_out.T) + b_out, *acts)
 
 
-def lstm_backward_numpy(wx, wh, w_out, x, gi, gf, gg, go, c, tc, h, dy):
+def lstm_backward(wx, wh, w_out, x, gi, gf, gg, go, c, tc, h, dy):
     """Backpropagation through time for one batch.
 
     dy is d(loss)/d(head output), shape (B, K). Returns stacked gradients
@@ -105,51 +102,9 @@ def lstm_backward_numpy(wx, wh, w_out, x, gi, gf, gg, go, c, tc, h, dy):
     return d_wx, d_wh, d_b, d_wout, d_bout
 
 
-def lstm_predict_numpy(wx, wh, b, w_out, b_out, x):
+def lstm_predict(wx, wh, b, w_out, b_out, x):
     """Forward pass without activation caching; returns the (B, K) output."""
-    L, B, _ = x.shape
-    H = wh.shape[1]
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
-    for t in range(L):
-        z = np.dot(x[t], wx.T) + np.dot(h_prev, wh.T) + b
-        i = 1.0 / (1.0 + np.exp(-z[:, :H]))
-        f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
-        c_prev = f * c_prev + i * g
-        h_prev = o * np.tanh(c_prev)
-    return np.dot(h_prev, w_out.T) + b_out
-
-
-def _numba_wanted() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() not in ("1", "true", "yes", "on")
-
-
-NUMBA_ENABLED = False
-lstm_forward_numba = None
-lstm_backward_numba = None
-lstm_predict_numba = None
-
-if _numba_wanted():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        lstm_forward_numba = njit(cache=True)(lstm_forward_numpy)
-        lstm_backward_numba = njit(cache=True)(lstm_backward_numpy)
-        lstm_predict_numba = njit(cache=True)(lstm_predict_numpy)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    lstm_forward = lstm_forward_numba
-    lstm_backward = lstm_backward_numba
-    lstm_predict = lstm_predict_numba
-else:
-    lstm_forward = lstm_forward_numpy
-    lstm_backward = lstm_backward_numpy
-    lstm_predict = lstm_predict_numpy
+    return np.dot(_recur(wx, wh, b, x), w_out.T) + b_out
 
 
 def as_time_major(windows: np.ndarray) -> np.ndarray:

@@ -60,6 +60,11 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
         raise
 
 
+def _json_text(doc) -> str:
+    # a non-finite number raises ValueError, which main reports as exit 1
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _info(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
@@ -117,7 +122,7 @@ def _cmd_simulate(args) -> int:
         raise CliError(str(exc)) from exc
     outputs = [(args.out, sd.series_to_csv(series))]
     if args.save_model:
-        outputs.append((args.save_model, json.dumps(wg.wave_model_to_dict(model), indent=2) + "\n"))
+        outputs.append((args.save_model, _json_text(wg.wave_model_to_dict(model))))
     _write_outputs(outputs)
     _info(args, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={dt})")
     return EXIT_OK
@@ -151,10 +156,10 @@ def _cmd_train(args) -> int:
     artifact, report = tr.train(
         split, config, args.seed, normalizer=normalizer, provenance=provenance
     )
-    outputs = [(args.out, json.dumps(tr.model_to_dict(artifact), indent=2) + "\n")]
+    outputs = [(args.out, _json_text(tr.model_to_dict(artifact)))]
     if args.report:
         # timing is excluded so identical runs write identical reports
-        outputs.append((args.report, json.dumps(report.to_dict(include_timing=False), indent=2) + "\n"))
+        outputs.append((args.report, _json_text(report.to_dict(include_timing=False))))
     _write_outputs(outputs)
     _info(
         args,
@@ -182,7 +187,7 @@ def _cmd_evaluate(args) -> int:
     report = ev.error_report(result)
     outputs = [
         (args.out_csv, ev.errors_to_csv(result, report, series.dt, series.t0)),
-        (args.out_json, json.dumps(ev.summary_dict(report, len(result)), indent=2) + "\n"),
+        (args.out_json, _json_text(ev.summary_dict(report, len(result)))),
     ]
     if args.svg:
         t = series.t0 + result.target_indices * series.dt
@@ -230,7 +235,7 @@ def _cmd_rest(args) -> int:
     intervals = rp.rest_periods_from_forecast(result, series.dt, criteria, t0=series.t0)
     outputs = [(args.out, rp.intervals_to_csv(intervals))]
     if args.out_json:
-        outputs.append((args.out_json, json.dumps(rp.intervals_to_dicts(intervals), indent=2) + "\n"))
+        outputs.append((args.out_json, _json_text(rp.intervals_to_dicts(intervals))))
     _write_outputs(outputs)
     _info(args, f"wrote {args.out} ({len(intervals)} rest intervals)")
     return EXIT_OK

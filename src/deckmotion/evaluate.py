@@ -41,6 +41,8 @@ class ForecastResult:
             raise ValueError("forecast result must be non-empty")
         if np.any(np.diff(self.target_indices) <= 0):
             raise ValueError("target_indices must be strictly increasing")
+        if not np.all(np.isfinite(self.predictions)):
+            raise ValueError("forecast is not finite: the series exceeds the float64 range")
 
     def __len__(self) -> int:
         return len(self.target_indices)
@@ -91,11 +93,13 @@ def predict_series(
     rows = indices[:, None] + np.arange(-lookback, 0)[None, :]
     deviation = x - norm.offset
     # RMS of samples 0..j-1 about the offset, for each target j; hypot keeps
-    # the running root-sum-square finite where squaring a sample would overflow
-    rms = np.hypot.accumulate(deviation, axis=0)[indices - 1] / np.sqrt(indices)[:, None]
-    scale = np.where(rms > 0.0, rms, norm.scale)
-    windows = deviation[rows] / scale[:, None, :]
-    preds = predict_windows(artifact.params, windows) * scale + norm.offset
+    # the running root-sum-square finite where squaring a sample would overflow,
+    # and where even that overflows, ForecastResult rejects the forecast
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms = np.hypot.accumulate(deviation, axis=0)[indices - 1] / np.sqrt(indices)[:, None]
+        scale = np.where(rms > 0.0, rms, norm.scale)
+        windows = deviation[rows] / scale[:, None, :]
+        preds = predict_windows(artifact.params, windows) * scale + norm.offset
     return ForecastResult(target_indices=indices, predictions=preds, truths=x[indices])
 
 

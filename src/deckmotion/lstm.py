@@ -38,19 +38,6 @@ class LstmConfig:
             raise ValueError("joint tri-channel prediction requires input_dim = output_dim = 3")
 
 
-def _named_views(wx, wh, b, w_out, b_out) -> dict[str, np.ndarray]:
-    H = wh.shape[1]
-    named = {}
-    for k, gate in enumerate(GATE_NAMES):
-        sl = slice(k * H, (k + 1) * H)
-        named[f"w_{gate}"] = wx[sl]
-        named[f"u_{gate}"] = wh[sl]
-        named[f"b_{gate}"] = b[sl]
-    named["w_out"] = w_out
-    named["b_out"] = b_out
-    return named
-
-
 @dataclass
 class LstmParams:
     """All network weights, stacked per the kernel layout."""
@@ -91,7 +78,16 @@ class LstmParams:
         Views share memory with the stacked arrays, so writing through
         them mutates the parameters.
         """
-        return _named_views(self.wx, self.wh, self.b, self.w_out, self.b_out)
+        H = self.hidden_dim
+        named = {}
+        for k, gate in enumerate(GATE_NAMES):
+            sl = slice(k * H, (k + 1) * H)
+            named[f"w_{gate}"] = self.wx[sl]
+            named[f"u_{gate}"] = self.wh[sl]
+            named[f"b_{gate}"] = self.b[sl]
+        named["w_out"] = self.w_out
+        named["b_out"] = self.b_out
+        return named
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
@@ -109,9 +105,6 @@ class Gradients:
     b: np.ndarray
     w_out: np.ndarray
     b_out: np.ndarray
-
-    def named(self) -> dict[str, np.ndarray]:
-        return _named_views(self.wx, self.wh, self.b, self.w_out, self.b_out)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
@@ -132,48 +125,10 @@ def init_params(config: LstmConfig, seed: int) -> LstmParams:
     return LstmParams(wx=wx, wh=wh, b=b, w_out=w_out, b_out=np.zeros(K))
 
 
-@dataclass
-class LstmState:
-    """Hidden activation h and cell state c after a step."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-def zero_state(hidden_dim: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # exp overflow saturates cleanly to 0
-        return 1.0 / (1.0 + np.exp(-z))
-
-
-def cell_forward(params: LstmParams, x: np.ndarray, state: LstmState) -> LstmState:
-    """One LSTM step on a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    H = params.hidden_dim
-    z = params.wx @ x + params.wh @ state.h + params.b
-    i = _sigmoid(z[:H])
-    f = _sigmoid(z[H : 2 * H])
-    g = np.tanh(z[2 * H : 3 * H])
-    o = _sigmoid(z[3 * H :])
-    c = f * state.c + i * g
-    return LstmState(h=o * np.tanh(c), c=c)
-
-
 def forward_window(params: LstmParams, window: np.ndarray) -> np.ndarray:
-    """Run the cell over the window rows from a zero state and apply the
-    output head to the final hidden state; returns the joint prediction."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != params.input_dim:
-        raise ValueError(
-            f"window must have shape (lookback, {params.input_dim}), got {window.shape}"
-        )
-    x = as_time_major(window[None, :, :])
-    with np.errstate(over="ignore"):  # gate saturation is well-defined
-        y = lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
-    return y[0]
+    """Predict one (lookback, 3) window, run from a zero state; returns the
+    joint (3,) prediction."""
+    return predict_windows(params, np.asarray(window)[None])[0]
 
 
 def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:

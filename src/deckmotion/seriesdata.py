@@ -34,6 +34,9 @@ class MotionSeries:
             raise ValueError(f"samples must have shape (n, 3), got {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("series needs at least one sample")
+        if not np.all(np.isfinite(samples)):
+            row = int(np.argwhere(~np.isfinite(samples))[0, 0])
+            raise ValueError(f"samples must be finite; sample {row} is {samples[row].tolist()}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -144,8 +147,8 @@ class Normalizer:
     def __post_init__(self):
         offset = np.array(self.offset, dtype=np.float64).reshape(3)
         scale = np.array(self.scale, dtype=np.float64).reshape(3)
-        if not np.all(scale > 0):
-            raise ValueError(f"scale must be positive per channel, got {scale}")
+        if not (np.all(np.isfinite(offset)) and np.all((scale > 0) & np.isfinite(scale))):
+            raise ValueError(f"need a finite offset and positive scale, got {offset} and {scale}")
         offset.setflags(write=False)
         scale.setflags(write=False)
         object.__setattr__(self, "offset", offset)

@@ -272,7 +272,7 @@ def _fill(dest: np.ndarray, sl: slice, value, shape: tuple, name: str) -> None:
 
 def save_model(artifact: ModelArtifact, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(artifact), f, indent=2)
+        json.dump(model_to_dict(artifact), f, indent=2, allow_nan=False)
         f.write("\n")
 
 

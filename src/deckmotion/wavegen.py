@@ -251,7 +251,7 @@ def wave_model_from_dict(doc: dict) -> WaveModel:
 
 def save_wave_model(model: WaveModel, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(wave_model_to_dict(model), f, indent=2)
+        json.dump(wave_model_to_dict(model), f, indent=2, allow_nan=False)
         f.write("\n")
 
 

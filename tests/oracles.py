@@ -1,6 +1,8 @@
 """Brute-force reference implementations shared by the unit and acceptance
-tests. These deliberately use plain python loops, independent of the
-vectorized library code they check."""
+tests. These deliberately use plain python loops or single-vector steps,
+independent of the batched library code they check."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,3 +65,34 @@ def random_criteria(rng):
         heave_rate_max=float(rng.uniform(0.5, 10.0)) if rng.uniform() < 0.5 else None,
         min_duration=float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.5 else 0.0,
     )
+
+
+@dataclass
+class LstmState:
+    """Hidden activation h and cell state c after a step."""
+
+    h: np.ndarray
+    c: np.ndarray
+
+
+def zero_state(hidden_dim):
+    return LstmState(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
+
+
+def _sigmoid(z):
+    with np.errstate(over="ignore"):  # exp overflow saturates cleanly to 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def cell_forward(params, x, state):
+    """One LSTM step on a single input vector, the per-step oracle for the
+    batched kernels."""
+    x = np.asarray(x, dtype=np.float64)
+    H = params.hidden_dim
+    z = params.wx @ x + params.wh @ state.h + params.b
+    i = _sigmoid(z[:H])
+    f = _sigmoid(z[H : 2 * H])
+    g = np.tanh(z[2 * H : 3 * H])
+    o = _sigmoid(z[3 * H :])
+    c = f * state.c + i * g
+    return LstmState(h=o * np.tanh(c), c=c)

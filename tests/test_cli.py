@@ -250,6 +250,46 @@ def test_divergence_exits_3(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_nonfinite_sample_exits_1(pipeline, tmp_path, capsys):
+    root, series, model, _ = pipeline
+    lines = series.read_text().splitlines()
+    t, heave, pitch, _ = lines[151].split(",")
+    lines[151] = f"{t},{heave},{pitch},nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    commands = [
+        ["train", "--data", bad, "--lookback", "20", "--hidden", "4", "--epochs", "1",
+         "--out", out / "m.json", "--report", out / "r.json"],
+        ["evaluate", "--model", model, "--data", bad,
+         "--out-csv", out / "e.csv", "--out-json", out / "s.json"],
+        ["rest", "--model", model, "--data", bad, "--pitch-max", "0.5", "--roll-max", "3.0",
+         "--out", out / "i.csv", "--out-json", out / "i.json"],
+    ]
+    for argv in commands:
+        assert run(*argv, "--quiet") == 1
+        assert "sample 150" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_forecast_exits_1(pipeline, tmp_path):
+    root, series, model, _ = pipeline
+    # finite samples whose running RMS overflows float64
+    samples = sd.sample_series(wg.sea_state5_reference_model(), 200, 0.25).samples.copy()
+    samples[:, 2] *= 1e307
+    huge = tmp_path / "huge.csv"
+    sd.save_series_csv(sd.MotionSeries(dt=0.25, samples=samples), huge)
+    out_json = tmp_path / "summary.json"
+    code = run(
+        "evaluate", "--model", model, "--data", huge,
+        "--out-csv", tmp_path / "errors.csv", "--out-json", out_json, "--quiet",
+    )
+    assert code == 1
+    assert not out_json.exists()
+    with pytest.raises(ValueError):
+        cli._json_text({"mae": float("inf")})
+
+
 def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
     root, series, model, _ = pipeline
     out_csv = tmp_path / "errors.csv"

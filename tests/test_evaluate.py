@@ -181,6 +181,12 @@ def test_forecast_result_validation():
         ev.ForecastResult(
             target_indices=np.array([1]), predictions=np.zeros((2, 3)), truths=np.zeros((2, 3))
         )
+    with pytest.raises(ValueError, match="not finite"):
+        ev.ForecastResult(
+            target_indices=np.array([1, 2]),
+            predictions=np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]),
+            truths=np.zeros((2, 3)),
+        )
 
 
 def test_errors_csv_format(knox_series):

@@ -1,14 +1,11 @@
-"""The numba kernels and their numpy twins must agree; the env flag must
-select the fallback path."""
-
-import os
-import subprocess
-import sys
+"""The LSTM kernels: input layout, one recurrence shared by the cached and
+uncached forward passes, and the names the benchmark harness reads."""
 
 import numpy as np
 import pytest
 
 from deckmotion import _kernels as K
+from deckmotion import lstm
 from deckmotion.lstm import LstmConfig, init_params
 
 
@@ -29,40 +26,20 @@ def test_as_time_major():
         K.as_time_major(np.zeros((4, 3)))
 
 
-@pytest.mark.skipif(not K.NUMBA_ENABLED, reason="numba path disabled")
-def test_compiled_and_numpy_paths_agree():
-    for seed in range(3):
-        params, x = _random_case(seed)
-        args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
-        y_nb = K.lstm_predict_numba(*args)
-        y_np = K.lstm_predict_numpy(*args)
-        assert np.allclose(y_nb, y_np, rtol=0, atol=1e-12)
-
-        out_nb = K.lstm_forward_numba(*args)
-        out_np = K.lstm_forward_numpy(*args)
-        for a, b in zip(out_nb, out_np):
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
-
-        dy = np.full((x.shape[1], 3), 0.25)
-        g_nb = K.lstm_backward_numba(params.wx, params.wh, params.w_out, x, *out_nb[1:], dy)
-        g_np = K.lstm_backward_numpy(params.wx, params.wh, params.w_out, x, *out_np[1:], dy)
-        for a, b in zip(g_nb, g_np):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
 def test_forward_and_predict_consistent():
-    params, x = _random_case(9)
-    args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
-    y_full = K.lstm_forward(*args)[0]
-    y_fast = K.lstm_predict(*args)
-    assert np.allclose(y_full, y_fast, rtol=0, atol=1e-14)
+    for batch in (4, 1):
+        params, x = _random_case(9, batch=batch)
+        args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+        y_full, *acts = K.lstm_forward(*args)
+        assert np.array_equal(y_full, K.lstm_predict(*args))
+        assert len(acts) == 7
+        assert all(a.shape == (7, batch, 6) for a in acts)
 
 
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, **{K.DISABLE_ENV: "1"})
-    code = (
-        "from deckmotion import _kernels as K;"
-        "assert not K.NUMBA_ENABLED;"
-        "assert K.lstm_predict is K.lstm_predict_numpy"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+def test_benchmark_harness_names_exist():
+    # perfbench/run.py reads NUMBA_ENABLED for its fingerprint, and
+    # perfbench/tracer.py wraps these kernels by identity wherever bound
+    assert K.NUMBA_ENABLED is False
+    assert lstm.lstm_forward is K.lstm_forward
+    assert lstm.lstm_backward is K.lstm_backward
+    assert lstm.lstm_predict is K.lstm_predict

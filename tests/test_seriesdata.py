@@ -152,6 +152,11 @@ def test_normalized_training_segment_statistics(knox_series):
 def test_normalizer_validation():
     with pytest.raises(ValueError):
         sd.Normalizer(offset=np.zeros(3), scale=np.array([1.0, 0.0, 1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            sd.Normalizer(offset=np.array([0.0, bad, 0.0]), scale=np.ones(3))
+        with pytest.raises(ValueError):
+            sd.Normalizer(offset=np.zeros(3), scale=np.array([1.0, 1.0, abs(bad)]))
 
 
 def test_series_validation():
@@ -161,6 +166,11 @@ def test_series_validation():
         sd.MotionSeries(dt=0.1, samples=np.zeros((0, 3)))
     with pytest.raises(ValueError):
         sd.MotionSeries(dt=0.1, samples=np.zeros((5, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.zeros((5, 3))
+        samples[3, 2] = bad
+        with pytest.raises(ValueError, match="sample 3"):
+            sd.MotionSeries(dt=0.1, samples=samples)
 
 
 def test_series_samples_immutable(knox_series):

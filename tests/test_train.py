@@ -194,12 +194,13 @@ def test_load_missing_key(artifact, tmp_path):
 
 
 def test_load_nonfinite_weights(artifact, tmp_path):
-    doc = tr.model_to_dict(artifact)
-    doc["params"]["b_i"][0] = float("nan")  # python json emits a NaN literal
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(tr.MalformedModelFileError):
-        tr.load_model(path)
+    for section, name in (("params", "b_i"), ("normalizer", "offset")):
+        doc = tr.model_to_dict(artifact)
+        doc[section][name][0] = float("nan")  # python json emits a NaN literal
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(tr.MalformedModelFileError):
+            tr.load_model(path)
 
 
 def test_negative_shuffle_seed_rejected():
