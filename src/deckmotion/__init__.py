@@ -2,7 +2,6 @@
 
 from .evaluate import ErrorReport, ForecastResult, error_report, predict_series
 from .lstm import (
-    Gradients,
     LstmConfig,
     LstmParams,
     forward_window,
@@ -23,7 +22,6 @@ from .seriesdata import (
     WindowedDataset,
     apply_normalizer,
     fit_normalizer,
-    invert_normalizer,
     load_series_csv,
     make_windows,
     sample_series,
@@ -48,7 +46,6 @@ from .wavegen import (
     SeaStateSpec,
     SineComponent,
     WaveModel,
-    evaluate_model,
     evaluate_model_array,
     knox_training_model,
     load_wave_model,

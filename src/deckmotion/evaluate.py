@@ -47,6 +47,10 @@ class ForecastResult:
     def __len__(self) -> int:
         return len(self.target_indices)
 
+    def require_contiguous(self) -> None:
+        if np.any(np.diff(self.target_indices) != 1):
+            raise ValueError("forecast indices are not contiguous")
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -138,7 +142,5 @@ def errors_to_csv(result: ForecastResult, report: ErrorReport, dt: float, t0: fl
 
 def forecast_to_series(result: ForecastResult, dt: float, t0: float = 0.0) -> MotionSeries:
     """Predicted channels as a MotionSeries (requires contiguous indices)."""
-    idx = result.target_indices
-    if len(idx) > 1 and np.any(np.diff(idx) != 1):
-        raise ValueError("forecast indices are not contiguous")
-    return MotionSeries(dt=dt, samples=result.predictions, t0=t0 + int(idx[0]) * dt)
+    result.require_contiguous()
+    return MotionSeries(dt=dt, samples=result.predictions, t0=t0 + int(result.target_indices[0]) * dt)

@@ -5,7 +5,7 @@ a linear head maps the final hidden state to the joint next-sample
 prediction. Gradients are exact backpropagation through time over the
 whole window, in float64 throughout so finite-difference checks are tight.
 
-Parameters are stored stacked (gate blocks ordered i, f, g, o within the
+Parameters are stored stacked (gate blocks in GATE_NAMES order within the
 leading 4H dimension, matching _kernels); named per-gate views are exposed
 for serialization and inspection.
 """
@@ -37,6 +37,13 @@ class LstmConfig:
         if self.input_dim != 3 or self.output_dim != 3:
             raise ValueError("joint tri-channel prediction requires input_dim = output_dim = 3")
 
+    def named_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of each LstmParams.named() block, in the same order."""
+        H, D, K = self.hidden_dim, self.input_dim, self.output_dim
+        per_gate = {"w": (H, D), "u": (H, H), "b": (H,)}
+        gates = {f"{p}_{gate}": shape for gate in GATE_NAMES for p, shape in per_gate.items()}
+        return {**gates, "w_out": (K, H), "b_out": (K,)}
+
 
 @dataclass
 class LstmParams:
@@ -51,14 +58,13 @@ class LstmParams:
     def __post_init__(self):
         for name in ("wx", "wh", "b", "w_out", "b_out"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite entries in {name}")
         H = self.wh.shape[1]
         if self.wh.shape != (4 * H, H) or self.wx.shape[0] != 4 * H or self.b.shape != (4 * H,):
             raise ValueError("inconsistent gate-stack shapes")
         if self.w_out.shape[1] != H or self.b_out.shape != (self.w_out.shape[0],):
             raise ValueError("output head shape does not match hidden_dim")
-        for name in ("wx", "wh", "b", "w_out", "b_out"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite entries in {name}")
 
     @property
     def hidden_dim(self) -> int:
@@ -79,35 +85,25 @@ class LstmParams:
         them mutates the parameters.
         """
         H = self.hidden_dim
-        named = {}
-        for k, gate in enumerate(GATE_NAMES):
-            sl = slice(k * H, (k + 1) * H)
-            named[f"w_{gate}"] = self.wx[sl]
-            named[f"u_{gate}"] = self.wh[sl]
-            named[f"b_{gate}"] = self.b[sl]
-        named["w_out"] = self.w_out
-        named["b_out"] = self.b_out
-        return named
+        stacked = {"w": self.wx, "u": self.wh, "b": self.b}
+        gates = {
+            f"{p}_{gate}": arr[k * H : (k + 1) * H]
+            for k, gate in enumerate(GATE_NAMES)
+            for p, arr in stacked.items()
+        }
+        return {**gates, "w_out": self.w_out, "b_out": self.b_out}
+
+    @classmethod
+    def from_named(cls, named: dict) -> "LstmParams":
+        """Inverse of named(): stacks the per-gate blocks in GATE_NAMES order."""
+        wx, wh, b = (np.concatenate([named[f"{p}_{gate}"] for gate in GATE_NAMES]) for p in "wub")
+        return cls(wx, wh, b, named["w_out"], named["b_out"])
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
 
     def copy(self) -> "LstmParams":
         return LstmParams(*(a.copy() for a in self.arrays()))
-
-
-@dataclass
-class Gradients:
-    """Loss gradients, one array per parameter block (same layout)."""
-
-    wx: np.ndarray
-    wh: np.ndarray
-    b: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.wx, self.wh, self.b, self.w_out, self.b_out)
 
 
 def init_params(config: LstmConfig, seed: int) -> LstmParams:
@@ -142,9 +138,10 @@ def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
 
 def loss_and_gradients(
     params: LstmParams, windows: np.ndarray, targets: np.ndarray
-) -> tuple[float, Gradients]:
+) -> tuple[float, tuple[np.ndarray, ...]]:
     """Mean squared error over the batch and output channels, with exact
-    BPTT gradients for every parameter."""
+    BPTT gradients in params.arrays() order (plain arrays, because LstmParams
+    would reject the non-finite gradients of a diverging batch)."""
     windows = np.asarray(windows, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if windows.ndim != 3 or len(windows) == 0:
@@ -161,7 +158,5 @@ def loss_and_gradients(
         diff = y - targets
         loss = float(np.mean(diff * diff))
         dy = (2.0 / diff.size) * diff
-        d_wx, d_wh, d_b, d_wout, d_bout = lstm_backward(
-            params.wx, params.wh, params.w_out, x, gi, gf, gg, go, c, tc, h, dy
-        )
-    return loss, Gradients(wx=d_wx, wh=d_wh, b=d_b, w_out=d_wout, b_out=d_bout)
+        grads = lstm_backward(params.wx, params.wh, params.w_out, x, gi, gf, gg, go, c, tc, h, dy)
+    return loss, grads

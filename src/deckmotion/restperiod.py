@@ -34,8 +34,8 @@ class RestCriteria:
             math.isfinite(self.heave_rate_max) and self.heave_rate_max > 0
         ):
             raise ValueError(f"heave_rate_max must be positive, got {self.heave_rate_max}")
-        if self.min_duration < 0:
-            raise ValueError(f"min_duration must be >= 0, got {self.min_duration}")
+        if not (math.isfinite(self.min_duration) and self.min_duration >= 0):
+            raise ValueError(f"min_duration must be finite and >= 0, got {self.min_duration}")
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,9 @@ def rest_periods_from_forecast(
     """Same rule applied to predicted channels; interval indices refer to
     the source series (the forecast's target indices, which must be
     contiguous)."""
-    idx = result.target_indices
-    if len(idx) > 1 and np.any(np.diff(idx) != 1):
-        raise ValueError("forecast indices are not contiguous")
+    result.require_contiguous()
     mask = calm_mask(result.predictions, dt, criteria)
-    return _intervals_from_mask(mask, dt, criteria, idx, t0)
+    return _intervals_from_mask(mask, dt, criteria, result.target_indices, t0)
 
 
 def intervals_to_csv(intervals: list[RestInterval]) -> str:

@@ -166,26 +166,28 @@ class Normalizer:
 def fit_normalizer(series: MotionSeries, fit_range_end: int) -> Normalizer:
     """Per-channel z-score statistics over samples 0..fit_range_end-1.
 
-    Uses the population standard deviation; a constant channel gets
-    scale 1 so the map stays invertible.
+    Uses the population standard deviation (by np.hypot where squares overflow);
+    a constant channel gets scale 1 so the map stays invertible.
     """
     if fit_range_end < 2:
         raise ValueError(f"fit_range_end must be >= 2, got {fit_range_end}")
     if fit_range_end > len(series):
         raise ValueError(f"fit_range_end {fit_range_end} exceeds series length {len(series)}")
     segment = series.samples[:fit_range_end]
-    offset = segment.mean(axis=0)
-    scale = segment.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = segment.mean(axis=0)
+        scale = segment.std(axis=0)
+        big = ~np.isfinite(scale)
+        scale[big] = np.hypot.reduce(segment[:, big] - offset[big], axis=0) / math.sqrt(fit_range_end)
+    if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(scale))):
+        peak = np.abs(segment).max()
+        raise ValueError(f"samples reach magnitude {peak:.3g}: their mean or spread overflows float64")
     scale = np.where(scale > 0.0, scale, 1.0)
     return Normalizer(offset=offset, scale=scale)
 
 
 def apply_normalizer(norm: Normalizer, series: MotionSeries) -> MotionSeries:
     return MotionSeries(dt=series.dt, samples=norm.apply(series.samples), t0=series.t0)
-
-
-def invert_normalizer(norm: Normalizer, series: MotionSeries) -> MotionSeries:
-    return MotionSeries(dt=series.dt, samples=norm.invert(series.samples), t0=series.t0)
 
 
 def series_to_csv(series: MotionSeries) -> str:

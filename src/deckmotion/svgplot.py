@@ -94,10 +94,3 @@ def render_panels(
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def line_chart(x, curves, title: str = "", width: int = 900, height: int = 240) -> str:
-    """Single-panel convenience wrapper around render_panels."""
-    return render_panels(
-        [{"title": title, "x": x, "curves": list(curves)}], width=width, panel_height=height
-    )

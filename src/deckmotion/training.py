@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lstm import Gradients, LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
+from .lstm import LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
 from .seriesdata import Normalizer, SplitDataset
 
 FORMAT_VERSION = 1
@@ -94,15 +94,14 @@ class ModelArtifact:
     params: LstmParams
     normalizer: Normalizer
     provenance: str = ""
-    format_version: int = FORMAT_VERSION
 
 
 class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: LstmParams, grads: Gradients) -> None:
-        for p, g in zip(params.arrays(), grads.arrays()):
+    def step(self, params: LstmParams, grads: tuple[np.ndarray, ...]) -> None:
+        for p, g in zip(params.arrays(), grads):
             p -= self.lr * g
 
 
@@ -116,11 +115,11 @@ class _Adam:
         self.m = [np.zeros_like(a) for a in params.arrays()]
         self.v = [np.zeros_like(a) for a in params.arrays()]
 
-    def step(self, params: LstmParams, grads: Gradients) -> None:
+    def step(self, params: LstmParams, grads: tuple[np.ndarray, ...]) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for k, (p, g) in enumerate(zip(params.arrays(), grads.arrays())):
+        for k, (p, g) in enumerate(zip(params.arrays(), grads)):
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
             p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
@@ -196,7 +195,7 @@ def train(
 def model_to_dict(artifact: ModelArtifact) -> dict:
     """JSON-ready document; weights as nested lists at full precision."""
     return {
-        "format_version": artifact.format_version,
+        "format_version": FORMAT_VERSION,
         "config": {
             "input_dim": artifact.config.input_dim,
             "hidden_dim": artifact.config.hidden_dim,
@@ -233,29 +232,15 @@ def model_from_dict(doc: dict) -> ModelArtifact:
             offset=np.array(norm_doc["offset"], dtype=np.float64),
             scale=np.array(norm_doc["scale"], dtype=np.float64),
         )
-        p = doc["params"]
-        H = config.hidden_dim
-        wx = np.empty((4 * H, config.input_dim))
-        wh = np.empty((4 * H, H))
-        b = np.empty(4 * H)
-        for k, gate in enumerate(("i", "f", "g", "o")):
-            sl = slice(k * H, (k + 1) * H)
-            _fill(wx, sl, p[f"w_{gate}"], (H, config.input_dim), f"w_{gate}")
-            _fill(wh, sl, p[f"u_{gate}"], (H, H), f"u_{gate}")
-            _fill(b, sl, p[f"b_{gate}"], (H,), f"b_{gate}")
-        w_out = np.array(p["w_out"], dtype=np.float64)
-        b_out = np.array(p["b_out"], dtype=np.float64)
+        # each block is checked before anything is stacked, so a file that
+        # declares a huge hidden_dim allocates nothing of that size
+        shapes = config.named_shapes()
+        named = {name: _block(doc["params"], name, shape) for name, shape in shapes.items()}
         provenance = str(doc.get("provenance", ""))
-    except ModelShapeError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedModelFileError(f"malformed model document: {exc}") from exc
-    if w_out.shape != (config.output_dim, H) or b_out.shape != (config.output_dim,):
-        raise ModelShapeError(
-            f"output head shape {w_out.shape}/{b_out.shape} does not match config"
-        )
     try:
-        params = LstmParams(wx=wx, wh=wh, b=b, w_out=w_out, b_out=b_out)
+        params = LstmParams.from_named(named)
     except ValueError as exc:  # e.g. non-finite weights smuggled through JSON
         raise MalformedModelFileError(f"invalid weights: {exc}") from exc
     return ModelArtifact(
@@ -263,11 +248,11 @@ def model_from_dict(doc: dict) -> ModelArtifact:
     )
 
 
-def _fill(dest: np.ndarray, sl: slice, value, shape: tuple, name: str) -> None:
-    arr = np.array(value, dtype=np.float64)
+def _block(params: dict, name: str, shape: tuple) -> np.ndarray:
+    arr = np.array(params[name], dtype=np.float64)
     if arr.shape != shape:
         raise ModelShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-    dest[sl] = arr
+    return arr
 
 
 def save_model(artifact: ModelArtifact, path) -> None:

@@ -72,16 +72,6 @@ class WaveModel:
         return tuple(sum(c.amplitude for c in self.channel(n)) for n in CHANNELS)
 
 
-def evaluate_model(model: WaveModel, t: float) -> tuple[float, float, float]:
-    """Evaluate all three channels at time t (seconds)."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    out = []
-    for name in CHANNELS:
-        out.append(sum(c.amplitude * math.sin(c.omega * t + c.phase) for c in model.channel(name)))
-    return tuple(out)
-
-
 def evaluate_model_array(model: WaveModel, times: np.ndarray) -> np.ndarray:
     """Evaluate the model at an array of times; returns shape (len(times), 3)."""
     times = np.asarray(times, dtype=np.float64)

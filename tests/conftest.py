@@ -1,6 +1,7 @@
-"""Pin BLAS to one thread before numpy loads: the per-step matrix products
-are small enough that thread fan-out roughly doubles their cost on small
-machines, and a fixed thread count keeps results reproducible."""
+"""Pin BLAS to one thread before numpy loads, so results do not depend on
+the machine's thread count. This is for reproducibility, not speed:
+perfbench/NOTES.md ("BLAS threads") measured one and two threads on the
+reference training run and found the gap smaller than run-to-run spread."""
 
 import os
 

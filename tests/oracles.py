@@ -2,12 +2,23 @@
 tests. These deliberately use plain python loops or single-vector steps,
 independent of the batched library code they check."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from deckmotion import restperiod as rp
 from deckmotion import seriesdata as sd
+from deckmotion import wavegen as wg
+
+
+def evaluate_model(model, t):
+    """All three channels at time t (seconds), one scalar sine at a time: the
+    oracle for wavegen.evaluate_model_array."""
+    return tuple(
+        sum(c.amplitude * math.sin(c.omega * t + c.phase) for c in model.channel(name))
+        for name in wg.CHANNELS
+    )
 
 
 def scan_oracle(samples, dt, criteria, t0=0.0, index_offset=0):

@@ -128,7 +128,7 @@ def test_criterion_3_gradient_correctness():
         windows = rng.normal(size=(batch, lookback, 3))
         targets = L.predict_windows(params, windows) + 0.01 * rng.normal(size=(batch, 3))
         _, grads = L.loss_and_gradients(params, windows, targets)
-        for arr, garr in zip(params.arrays(), grads.arrays()):
+        for arr, garr in zip(params.arrays(), grads):
             flat, gflat = arr.ravel(), np.asarray(garr).ravel()
             for i in range(flat.size):
                 orig = flat[i]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deckmotion import _kernels as K
-from deckmotion import lstm
+from deckmotion import evaluate, lstm, restperiod, seriesdata, svgplot, training, wavegen
 from deckmotion.lstm import LstmConfig, init_params
 
 
@@ -38,8 +38,32 @@ def test_forward_and_predict_consistent():
 
 def test_benchmark_harness_names_exist():
     # perfbench/run.py reads NUMBA_ENABLED for its fingerprint, and
-    # perfbench/tracer.py wraps these kernels by identity wherever bound
+    # perfbench/tracer.py wraps these kernels and functions by identity
+    # wherever a deckmotion module binds them
     assert K.NUMBA_ENABLED is False
     assert lstm.lstm_forward is K.lstm_forward
     assert lstm.lstm_backward is K.lstm_backward
     assert lstm.lstm_predict is K.lstm_predict
+    assert training.loss_and_gradients is lstm.loss_and_gradients
+    assert training.predict_windows is lstm.predict_windows
+    for fn in (
+        training.train,
+        training.save_model,
+        training.load_model,
+        seriesdata.sample_series,
+        seriesdata.load_series_csv,
+        seriesdata.series_to_csv,
+        seriesdata.fit_normalizer,
+        seriesdata.apply_normalizer,
+        seriesdata.Normalizer.apply,
+        seriesdata.Normalizer.invert,
+        evaluate.predict_series,
+        evaluate.errors_to_csv,
+        svgplot.render_panels,
+        wavegen.evaluate_model_array,
+        restperiod.calm_mask,
+        restperiod.rest_periods_from_forecast,
+    ):
+        assert callable(fn)
+    assert seriesdata.evaluate_model_array is wavegen.evaluate_model_array
+    assert isinstance(evaluate.ForecastResult, type)

@@ -173,7 +173,7 @@ def test_loss_zero_at_own_predictions():
     targets = L.predict_windows(p, windows)
     loss, grads = L.loss_and_gradients(p, windows, targets)
     assert loss == 0.0
-    for g in grads.arrays():
+    for g in grads:
         assert np.all(g == 0.0)
 
 
@@ -195,7 +195,7 @@ def test_duplicated_batch_has_same_loss_and_gradients():
         p, np.concatenate([windows, windows]), np.concatenate([targets, targets])
     )
     assert np.isclose(loss1, loss2, rtol=0, atol=1e-15)
-    for a, b in zip(g1.arrays(), g2.arrays()):
+    for a, b in zip(g1, g2):
         assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
@@ -203,7 +203,7 @@ def gradient_check(params, windows, targets, step=1e-5, floor=1e-8):
     """Central finite differences over every parameter entry."""
     _, grads = L.loss_and_gradients(params, windows, targets)
     worst = 0.0
-    for arr, garr in zip(params.arrays(), grads.arrays()):
+    for arr, garr in zip(params.arrays(), grads):
         flat = arr.ravel()
         gflat = np.asarray(garr).ravel()
         for i in range(flat.size):

@@ -141,8 +141,9 @@ def test_criteria_validation():
         rp.RestCriteria(pitch_max=1.0, roll_max=-2.0)
     with pytest.raises(ValueError):
         rp.RestCriteria(pitch_max=1.0, roll_max=1.0, heave_rate_max=0.0)
-    with pytest.raises(ValueError):
-        rp.RestCriteria(pitch_max=1.0, roll_max=1.0, min_duration=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rp.RestCriteria(pitch_max=1.0, roll_max=1.0, min_duration=bad)
 
 
 def test_interval_csv_and_dicts():

@@ -122,6 +122,18 @@ def test_fit_normalizer_symmetric_two_point():
     assert np.all(norm.scale == 1.0)
 
 
+def test_fit_normalizer_scale_beyond_squaring_range(knox_series):
+    # roll x 1e307 is finite, but its squared deviations overflow float64
+    samples = knox_series.samples * np.array([1.0, 1.0, 1e307])
+    huge = sd.fit_normalizer(sd.MotionSeries(dt=knox_series.dt, samples=samples), 1400)
+    plain = sd.fit_normalizer(knox_series, 1400)
+    assert np.array_equal(huge.scale[:2], plain.scale[:2])
+    assert huge.scale[2] == pytest.approx(1e307 * plain.scale[2], rel=1e-9)
+    samples[:, 0] = 1.7e308  # the mean itself overflows
+    with pytest.raises(ValueError, match="magnitude"):
+        sd.fit_normalizer(sd.MotionSeries(dt=knox_series.dt, samples=samples), 1400)
+
+
 def test_fit_normalizer_validation(knox_series):
     with pytest.raises(ValueError):
         sd.fit_normalizer(knox_series, 1)
@@ -131,8 +143,8 @@ def test_fit_normalizer_validation(knox_series):
 
 def test_normalizer_round_trip(knox_series):
     norm = sd.fit_normalizer(knox_series, 1400)
-    back = sd.invert_normalizer(norm, sd.apply_normalizer(norm, knox_series))
-    assert np.max(np.abs(back.samples - knox_series.samples)) <= 1e-12
+    back = norm.invert(sd.apply_normalizer(norm, knox_series).samples)
+    assert np.max(np.abs(back - knox_series.samples)) <= 1e-12
 
 
 def test_identity_normalizer_is_identity(knox_series):

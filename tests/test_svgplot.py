@@ -7,7 +7,8 @@ from deckmotion import svgplot
 
 def test_line_chart_structure():
     x = np.linspace(0, 10, 50)
-    svg = svgplot.line_chart(x, [("sin", np.sin(x)), ("cos", np.cos(x))], title="waves")
+    curves = [("sin", np.sin(x)), ("cos", np.cos(x))]
+    svg = svgplot.render_panels([{"title": "waves", "x": x, "curves": curves}])
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") == 2
@@ -22,7 +23,7 @@ def test_render_deterministic():
 
 def test_flat_data_does_not_degenerate():
     x = np.arange(10.0)
-    svg = svgplot.line_chart(x, [("flat", np.zeros(10))])
+    svg = svgplot.render_panels([{"title": "", "x": x, "curves": [("flat", np.zeros(10))]}])
     assert "nan" not in svg and "inf" not in svg
 
 

@@ -72,7 +72,7 @@ def test_sgd_step_is_exactly_minus_lr_gradient():
         init, split.train.inputs[order], split.train.targets[order]
     )
     artifact, _ = tr.train(split, config, seed=4)
-    for p_new, p_old, g in zip(artifact.params.arrays(), init.arrays(), grads.arrays()):
+    for p_new, p_old, g in zip(artifact.params.arrays(), init.arrays(), grads):
         assert np.array_equal(p_new, p_old - lr * g)
 
 
@@ -176,12 +176,17 @@ def test_load_truncated_file(artifact, tmp_path):
 
 
 def test_load_shape_mismatch(artifact, tmp_path):
-    doc = tr.model_to_dict(artifact)
-    doc["params"]["w_out"] = [[0.0, 1.0]]  # wrong head shape
-    path = tmp_path / "shape.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(tr.ModelShapeError):
-        tr.load_model(path)
+    wrong_head = tr.model_to_dict(artifact)
+    wrong_head["params"]["w_out"] = [[0.0, 1.0]]
+    # blocks sized for hidden 8 under a config declaring 10**6: a loader that
+    # sized its arrays from the config first would need terabytes
+    huge_config = tr.model_to_dict(artifact)
+    huge_config["config"]["hidden_dim"] = 10**6
+    for doc in (wrong_head, huge_config):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(tr.ModelShapeError):
+            tr.load_model(path)
 
 
 def test_load_missing_key(artifact, tmp_path):
