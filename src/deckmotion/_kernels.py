@@ -4,6 +4,16 @@ The step loop is written once, in _recur. lstm_forward runs it with an
 activation cache for lstm_backward; lstm_predict runs it without one, so
 forecasting wide batches allocates no per-step history.
 
+lstm_predict also splits a batch wider than PREDICT_ROWS windows into
+ceil(B / PREDICT_ROWS) blocks of near-equal size and runs _recur on each.
+At H=64 a 256-row block's (rows, 4H) gate array is 512 KiB, so each step's
+working set stays in a core's L2 cache, where the whole B=1960 array
+(4 MB) does not. The rows of a batch are independent, so blocking cannot
+change the result, provided every block is wide: on OpenBLAS a GEMM of
+1 to 4 rows rounds differently from the same rows inside a wide GEMM. A
+balanced split keeps every block above PREDICT_ROWS / 2 rows once
+B > PREDICT_ROWS; a fixed stride would leave a thin trailing block.
+
 Array conventions shared by all kernels (everything float64):
   x      (L, B, D)  time-major window batch
   wx     (4H, D)    stacked input weights, gate blocks ordered i, f, g, o
@@ -22,6 +32,9 @@ import numpy as np
 # There is no compiled path; the benchmark's environment fingerprint
 # (perfbench/run.py) still reads this flag.
 NUMBA_ENABLED = False
+
+# Widest batch block lstm_predict runs through the recurrence at once.
+PREDICT_ROWS = 256
 
 
 def _recur(wx, wh, b, x, acts=None):
@@ -103,8 +116,22 @@ def lstm_backward(wx, wh, w_out, x, gi, gf, gg, go, c, tc, h, dy):
 
 
 def lstm_predict(wx, wh, b, w_out, b_out, x):
-    """Forward pass without activation caching; returns the (B, K) output."""
-    return np.dot(_recur(wx, wh, b, x), w_out.T) + b_out
+    """Forward pass without activation caching; returns the (B, K) output.
+
+    A batch of B > PREDICT_ROWS windows runs in ceil(B / PREDICT_ROWS)
+    balanced blocks (see the module docstring); the head runs once on
+    their joined last hidden states. The output is bit-identical to the
+    unblocked pass that lstm_forward makes.
+    """
+    B = x.shape[1]
+    n = -(-B // PREDICT_ROWS)
+    if n <= 1:
+        h = _recur(wx, wh, b, x)
+    else:
+        h = np.concatenate(
+            [_recur(wx, wh, b, x[:, B * k // n : B * (k + 1) // n]) for k in range(n)]
+        )
+    return np.dot(h, w_out.T) + b_out
 
 
 def as_time_major(windows: np.ndarray) -> np.ndarray:

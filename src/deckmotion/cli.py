@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"deckmotion: i/o error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except MemoryError as exc:  # e.g. simulate --n 10**12
+        print(f"deckmotion: error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def entrypoint() -> None:

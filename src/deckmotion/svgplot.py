@@ -7,6 +7,8 @@ pipeline reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -28,6 +30,17 @@ def _limits(values: np.ndarray) -> tuple[float, float]:
         vmin -= 1.0
         vmax += 1.0
     return vmin, vmax
+
+
+def _offsets(values: np.ndarray, vmin: float, vmax: float, extent: float) -> np.ndarray:
+    """Pixel offsets (values - vmin) * extent / (vmax - vmin).
+
+    Finite data whose span overflows float64 (values near +-1.8e308) is
+    mapped on halved values, which is exact and cannot overflow; any other
+    span is mapped as it is.
+    """
+    k = 1.0 if math.isfinite(vmax - vmin) else 0.5
+    return (values * k - vmin * k) * (extent / (vmax * k - vmin * k))
 
 
 def render_panels(
@@ -57,8 +70,7 @@ def render_panels(
 
         xmin, xmax = _limits(x)
         ymin, ymax = _limits(np.concatenate([y for _, y in curves]))
-        xscale = (ax_right - ax_left) / (xmax - xmin)
-        yscale = (ax_bottom - ax_top) / (ymax - ymin)
+        px = ax_left + _offsets(x, xmin, xmax, ax_right - ax_left)
 
         parts.append(
             f'<g stroke="#444" stroke-width="1">'
@@ -81,10 +93,8 @@ def render_panels(
         )
         for ci, (label, y) in enumerate(curves):
             color = _COLORS[ci % len(_COLORS)]
-            pts = " ".join(
-                f"{_fmt(ax_left + (xi - xmin) * xscale)},{_fmt(ax_bottom - (yi - ymin) * yscale)}"
-                for xi, yi in zip(x, y)
-            )
+            py = ax_bottom - _offsets(y, ymin, ymax, ax_bottom - ax_top)
+            pts = " ".join(f"{_fmt(xi)},{_fmt(yi)}" for xi, yi in zip(px, py))
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
             )

@@ -17,6 +17,7 @@ import numpy as np
 
 from .lstm import LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
 from .seriesdata import Normalizer, SplitDataset
+from .wavegen import json_int
 
 FORMAT_VERSION = 1
 
@@ -222,10 +223,10 @@ def model_from_dict(doc: dict) -> ModelArtifact:
     try:
         cfg = doc["config"]
         config = LstmConfig(
-            hidden_dim=int(cfg["hidden_dim"]),
-            input_dim=int(cfg.get("input_dim", 3)),
-            output_dim=int(cfg.get("output_dim", 3)),
-            lookback=int(cfg["lookback"]),
+            hidden_dim=json_int(cfg["hidden_dim"], "hidden_dim"),
+            input_dim=json_int(cfg.get("input_dim", 3), "input_dim"),
+            output_dim=json_int(cfg.get("output_dim", 3), "output_dim"),
+            lookback=json_int(cfg["lookback"], "lookback"),
         )
         norm_doc = doc["normalizer"]
         normalizer = Normalizer(

@@ -263,6 +263,19 @@ def sea_state_spec_to_dict(spec: SeaStateSpec) -> dict:
     }
 
 
+def json_int(value, name: str) -> int:
+    """An integer field read from a JSON document.
+
+    Accepts an int or an integral float (8.0); rejects anything else, such
+    as 40.9, true or "8", instead of truncating it.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
     try:
         channels = doc["channels"]
@@ -273,7 +286,7 @@ def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
             )
             for name in CHANNELS
         }
-        k = int(doc.get("components_per_channel", 4))
+        k = json_int(doc.get("components_per_channel", 4), "components_per_channel")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sea-state spec document: {exc}") from exc
     return SeaStateSpec(components_per_channel=k, **kwargs)

@@ -290,6 +290,19 @@ def test_overflowing_forecast_exits_1(pipeline, tmp_path):
         cli._json_text({"mae": float("inf")})
 
 
+def test_memory_error_exits_1(tmp_path, monkeypatch, capsys):
+    # a real 10**12-sample request is not allocated here: whether that fails
+    # at once depends on the host's overcommit mode
+    def out_of_memory(model, n, dt):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for {n} samples")
+
+    monkeypatch.setattr(sd, "sample_series", out_of_memory)
+    out = tmp_path / "series.csv"
+    assert run("simulate", "--n", 10**12, "--out", out, "--quiet") == 1
+    assert "deckmotion: error: not enough memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
     root, series, model, _ = pipeline
     out_csv = tmp_path / "errors.csv"

@@ -27,13 +27,18 @@ def test_as_time_major():
 
 
 def test_forward_and_predict_consistent():
-    for batch in (4, 1):
-        params, x = _random_case(9, batch=batch)
+    # lstm_forward runs the whole batch at once, so it is the oracle for
+    # lstm_predict's blocks; at H=8 a split that left a block of one to
+    # four rows would round differently from the wide GEMM
+    rows = K.PREDICT_ROWS
+    for batch in (1, 4, rows, rows + 1, rows + 4, 2 * rows + 1):
+        params, x = _random_case(9, hidden=8, batch=batch)
         args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
         y_full, *acts = K.lstm_forward(*args)
-        assert np.array_equal(y_full, K.lstm_predict(*args))
+        assert np.array_equal(y_full, K.lstm_predict(*args)), batch
         assert len(acts) == 7
-        assert all(a.shape == (7, batch, 6) for a in acts)
+        assert all(a.shape == (7, batch, 8) for a in acts)
+    assert lstm.predict_windows(params, np.zeros((0, 7, 3))).shape == (0, 3)
 
 
 def test_benchmark_harness_names_exist():

@@ -192,10 +192,16 @@ def test_load_shape_mismatch(artifact, tmp_path):
 def test_load_missing_key(artifact, tmp_path):
     doc = tr.model_to_dict(artifact)
     del doc["params"]["u_f"]
-    path = tmp_path / "missing.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(tr.MalformedModelFileError):
-        tr.load_model(path)
+    docs = [doc]
+    # an integer field that is not integral is malformed, not truncated
+    for field, value in (("lookback", 10.9), ("hidden_dim", True)):
+        docs.append(tr.model_to_dict(artifact))
+        docs[-1]["config"][field] = value
+    for doc in docs:
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(tr.MalformedModelFileError):
+            tr.load_model(path)
 
 
 def test_load_nonfinite_weights(artifact, tmp_path):

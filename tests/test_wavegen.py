@@ -212,3 +212,7 @@ def test_malformed_documents_rejected():
         wg.wave_model_from_dict({"label": "x"})
     with pytest.raises(ValueError):
         wg.sea_state_spec_from_dict({"channels": {}})
+    fractional = wg.sea_state_spec_to_dict(wg.sea_state5_spec())
+    fractional["components_per_channel"] = 2.7
+    with pytest.raises(ValueError, match="components_per_channel"):
+        wg.sea_state_spec_from_dict(fractional)
