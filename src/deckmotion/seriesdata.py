@@ -34,6 +34,13 @@ class MotionSeries:
             raise ValueError(f"samples must have shape (n, 3), got {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("series needs at least one sample")
+        # in Python floats an overflow gives inf, not a numpy warning
+        n = samples.shape[0]
+        if not math.isfinite(float(self.t0) + (n - 1) * float(self.dt)):
+            raise ValueError(
+                f"sample times t0 + k*dt overflow float64 for k up to {n - 1}: "
+                f"t0={self.t0}, dt={self.dt}"
+            )
         if not np.all(np.isfinite(samples)):
             row = int(np.argwhere(~np.isfinite(samples))[0, 0])
             raise ValueError(f"samples must be finite; sample {row} is {samples[row].tolist()}")
@@ -224,8 +231,9 @@ def load_series_csv(path, dt: float | None = None) -> MotionSeries:
     if dt is None:
         if len(times) < 2:
             raise ValueError(f"{path}: cannot infer dt from a single row; pass dt explicitly")
-        dt = float(times[1] - times[0])
-    expected = times[0] + np.arange(len(times)) * dt
-    if not np.allclose(times, expected, rtol=0.0, atol=1e-9 * max(1.0, float(np.abs(times).max()))):
+        dt = float(times[1]) - float(times[0])
+    series = MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
+    atol = 1e-9 * max(1.0, float(np.abs(times).max()))
+    if not np.allclose(times, series.times, rtol=0.0, atol=atol):
         raise ValueError(f"{path}: t column is not uniformly spaced at dt={dt}")
-    return MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
+    return series

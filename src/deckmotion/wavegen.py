@@ -228,7 +228,11 @@ def wave_model_from_dict(doc: dict) -> WaveModel:
         channels = doc["channels"]
         kwargs = {
             name: tuple(
-                SineComponent(float(c["amplitude"]), float(c["omega"]), float(c.get("phase", 0.0)))
+                SineComponent(
+                    json_float(c["amplitude"], "amplitude"),
+                    json_float(c["omega"], "omega"),
+                    json_float(c.get("phase", 0.0), "phase"),
+                )
                 for c in channels[name]
             )
             for name in CHANNELS
@@ -276,13 +280,26 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_float(value, name: str) -> float:
+    """A float field read from a JSON document.
+
+    Accepts an int or a float; rejects anything else, such as true or
+    "0.9", instead of converting it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
     try:
         channels = doc["channels"]
         kwargs = {
             name: ChannelSpec(
-                amplitude_sum_range=tuple(channels[name]["amplitude_sum_range"]),
-                period_range=tuple(channels[name]["period_range"]),
+                **{
+                    field: tuple(json_float(v, f"each {field} bound") for v in channels[name][field])
+                    for field in ("amplitude_sum_range", "period_range")
+                }
             )
             for name in CHANNELS
         }

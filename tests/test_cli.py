@@ -1,6 +1,10 @@
 """CLI pipelines: flags, file formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +294,16 @@ def test_overflowing_forecast_exits_1(pipeline, tmp_path):
         cli._json_text({"mae": float("inf")})
 
 
+def test_time_column_beyond_float64_range(tmp_path, capsys):
+    # uniformly spaced, but the span (n-1)*dt exceeds float64 at 1.7e308;
+    # at half that it loads (tier-1 turns any numpy RuntimeWarning into a failure)
+    for bound, code in ((1.7e308, 1), (8.5e307, 0)):
+        data = tmp_path / "times.csv"
+        data.write_text(f"t,heave,pitch,roll\n{-bound!r},0,0,0\n0,1,1,1\n{bound!r},0,0,0\n")
+        assert run("plot", "--data", data, "--out", tmp_path / "p.svg", "--quiet") == code
+    assert "sample times t0 + k*dt overflow float64" in capsys.readouterr().err
+
+
 def test_memory_error_exits_1(tmp_path, monkeypatch, capsys):
     # a real 10**12-sample request is not allocated here: whether that fails
     # at once depends on the host's overcommit mode
@@ -314,6 +328,25 @@ def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
     )
     assert code == 1
     assert not out_csv.exists()
+
+
+def test_predict_with_default_blas_threads(pipeline, tmp_path):
+    # a wide forecast runs its blocks on Python threads; with the BLAS
+    # thread count left to OpenBLAS, those threads call a multi-threaded
+    # BLAS, which must neither hang nor change a byte of the output
+    root, series, model, _ = pipeline
+    sea5 = tmp_path / "sea5.csv"
+    pinned = tmp_path / "pinned.csv"
+    free = tmp_path / "free.csv"
+    assert run("simulate", "--model", "seastate5", "--n", 2000, "--dt", 0.1, "--out", sea5, "--quiet") == 0
+    assert run("predict", "--model", model, "--data", sea5, "--out", pinned, "--quiet") == 0
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    argv = ["predict", "--model", model, "--data", sea5, "--out", free, "--quiet"]
+    subprocess.run([sys.executable, "-m", "deckmotion.cli", *map(str, argv)],
+                   env=env, check=True, timeout=120)
+    assert free.read_bytes() == pinned.read_bytes()
 
 
 def test_pipeline_reproducible(tmp_path, monkeypatch):

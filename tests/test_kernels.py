@@ -1,6 +1,8 @@
 """The LSTM kernels: input layout, one recurrence shared by the cached and
 uncached forward passes, and the names the benchmark harness reads."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,59 @@ def test_forward_and_predict_consistent():
         assert len(acts) == 7
         assert all(a.shape == (7, batch, 8) for a in acts)
     assert lstm.predict_windows(params, np.zeros((0, 7, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_threaded_predict_matches_forward(monkeypatch, workers):
+    # the blocks of a wide batch are shared among `workers` threads; the
+    # result must not depend on how many there are
+    monkeypatch.setattr(K, "_cpu_count", lambda: workers)
+    rows = K.PREDICT_ROWS
+    for batch in (rows + 1, 2 * rows + 1, 1960):
+        params, x = _random_case(11, hidden=8, batch=batch)
+        args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+        assert np.array_equal(K.lstm_forward(*args)[0], K.lstm_predict(*args)), batch
+
+
+def test_threaded_predict_keeps_callers_errstate(monkeypatch):
+    # saturated gates overflow exp; predict_windows silences that with
+    # np.errstate, which a helper thread sees only through the caller's
+    # context (tier-1 turns any RuntimeWarning into a failure)
+    monkeypatch.setattr(K, "_cpu_count", lambda: 2)
+    params = init_params(LstmConfig(hidden_dim=8, lookback=7), 3)
+    windows = np.full((K.PREDICT_ROWS + 1, 7, 3), 1e4)
+    windows[::2] *= -1.0
+    y = lstm.predict_windows(params, windows)
+    assert np.all(np.isfinite(y))
+
+
+def test_helper_exception_propagates(monkeypatch):
+    monkeypatch.setattr(K, "_cpu_count", lambda: 2)
+    caller = threading.current_thread()
+    recur = K._recur
+
+    def failing_in_helper(*args):
+        if threading.current_thread() is not caller:
+            raise ArithmeticError("helper block failed")
+        return recur(*args)
+
+    monkeypatch.setattr(K, "_recur", failing_in_helper)
+    params, x = _random_case(5, hidden=4, batch=K.PREDICT_ROWS + 1)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="helper block failed"):
+        K.lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+    assert threading.active_count() == before
+
+
+def test_predictions_do_not_share_scratch():
+    params = init_params(LstmConfig(hidden_dim=8, lookback=7), 4)
+    rng = np.random.default_rng(4)
+    for batch in (1, 2 * K.PREDICT_ROWS + 1):
+        first = lstm.predict_windows(params, rng.normal(size=(batch, 7, 3)))
+        kept = first.copy()
+        second = lstm.predict_windows(params, rng.normal(size=(batch, 7, 3)))
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
 
 
 def test_benchmark_harness_names_exist():

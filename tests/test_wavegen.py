@@ -216,3 +216,13 @@ def test_malformed_documents_rejected():
     fractional["components_per_channel"] = 2.7
     with pytest.raises(ValueError, match="components_per_channel"):
         wg.sea_state_spec_from_dict(fractional)
+    # float fields take numbers only, not booleans or numeric strings
+    for field, value in (("amplitude", True), ("omega", "0.9")):
+        doc = wg.wave_model_to_dict(wg.knox_training_model())
+        doc["channels"]["pitch"][1][field] = value
+        with pytest.raises(ValueError, match=field):
+            wg.wave_model_from_dict(doc)
+    doc = wg.sea_state_spec_to_dict(wg.sea_state5_spec())
+    doc["channels"]["roll"]["period_range"] = [True, 13]
+    with pytest.raises(ValueError, match="period_range"):
+        wg.sea_state_spec_from_dict(doc)
