@@ -25,7 +25,6 @@ from .seriesdata import (
     load_series_csv,
     make_windows,
     sample_series,
-    save_series_csv,
     split_series,
 )
 from .training import (
@@ -50,7 +49,6 @@ from .wavegen import (
     knox_training_model,
     load_wave_model,
     random_sea_state_model,
-    save_wave_model,
     sea_state5_reference_model,
     sea_state5_spec,
 )

@@ -114,23 +114,25 @@ def _scratch(rows, H, steps=1):
 def lstm_forward(wx, wh, b, w_out, b_out, x):
     """Forward pass over a window batch, keeping per-step activations.
 
-    Returns (y, gi, gf, gg, go, c, tc, h): y is the (B, K) head output;
-    the activation stacks are (L, B, H) and feed lstm_backward.
+    Returns (y, acts): the (B, K) head output and the (7, L, B, H) stack of
+    i, f, g, o, c, tanh(c) and h at every step, which lstm_backward takes.
     """
     L, B, _ = x.shape
     acts, z = _scratch(B, wh.shape[1], L)
     h = _recur(wx, wh, b, x, acts, z)
-    return (np.dot(h, w_out.T) + b_out, *acts)
+    return np.dot(h, w_out.T) + b_out, acts
 
 
-def lstm_backward(wx, wh, w_out, x, gi, gf, gg, go, c, tc, h, dy):
+def lstm_backward(wx, wh, w_out, x, acts, dy):
     """Backpropagation through time for one batch.
 
-    dy is d(loss)/d(head output), shape (B, K). Returns stacked gradients
+    acts is the (7, L, B, H) activation stack lstm_forward returned, and dy
+    is d(loss)/d(head output), shape (B, K). Returns stacked gradients
     (d_wx, d_wh, d_b, d_wout, d_bout) matching the parameter layout.
     """
     L, B, _ = x.shape
     H = wh.shape[1]
+    c, h = acts[4], acts[6]
     d_wx = np.zeros_like(wx)
     d_wh = np.zeros_like(wh)
     d_b = np.zeros(4 * H)
@@ -140,11 +142,7 @@ def lstm_backward(wx, wh, w_out, x, gi, gf, gg, go, c, tc, h, dy):
     dc = np.zeros((B, H))
     dz = np.empty((B, 4 * H))
     for t in range(L - 1, -1, -1):
-        i = gi[t]
-        f = gf[t]
-        g = gg[t]
-        o = go[t]
-        tct = tc[t]
+        i, f, g, o, _, tct, _ = acts[:, t]
         do = dh * tct
         dc = dc + dh * o * (1.0 - tct * tct)
         di = dc * g
@@ -176,17 +174,14 @@ def _cpu_count():
 def lstm_predict(wx, wh, b, w_out, b_out, x):
     """Forward pass without activation caching; returns the (B, K) output.
 
-    A batch of B > PREDICT_ROWS windows runs in ceil(B / PREDICT_ROWS)
-    balanced blocks, spread over the process's CPUs (see the module
-    docstring); the head runs once on their joined last hidden states. The
-    output is bit-identical to the unblocked pass that lstm_forward makes.
+    The batch runs in ceil(B / PREDICT_ROWS) balanced blocks, at least one,
+    spread over the process's CPUs (see the module docstring); the head runs
+    once on their joined last hidden states. The output is bit-identical to
+    the unblocked pass that lstm_forward makes.
     """
     B = x.shape[1]
     H = wh.shape[1]
-    n = -(-B // PREDICT_ROWS)
-    if n <= 1:
-        h = _recur(wx, wh, b, x, *_scratch(B, H))
-        return np.dot(h, w_out.T) + b_out
+    n = max(1, -(-B // PREDICT_ROWS))
     workers = min(n, _cpu_count())
     bounds = [B * k // n for k in range(n + 1)]
     # allocated here, not in the helpers, which would each grow a malloc

@@ -16,7 +16,6 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -60,76 +59,54 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
         raise
 
 
-def _json_text(doc) -> str:
-    # a non-finite number raises ValueError, which main reports as exit 1
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
 def _info(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
 
 
-def _load_series(args) -> sd.MotionSeries:
+def _read(what: str, load, path, *args):
+    """load(path, *args), with any failure to read or parse the file
+    reported as a CliError that names what the file is and its path."""
     try:
-        return sd.load_series_csv(args.data, dt=args.dt)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read series {args.data}: {exc}") from exc
+        return load(path, *args)
+    except (OSError, ValueError, tr.ModelFileError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_artifact(path) -> tr.ModelArtifact:
-    try:
-        return tr.load_model(path)
-    except (OSError, tr.ModelFileError) as exc:
-        raise CliError(f"cannot load model {path}: {exc}") from exc
-
-
-def _forecast(args, artifact: tr.ModelArtifact, series: sd.MotionSeries) -> ev.ForecastResult:
-    normalizer = None
-    if args.renormalize:
-        normalizer = sd.fit_normalizer(series, len(series))
-    try:
-        return ev.predict_series(
-            artifact, series, start_index=args.start_index, normalizer=normalizer
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _forecast(args) -> tuple[sd.MotionSeries, ev.ForecastResult]:
+    """Load --model and --data and forecast the series one step ahead."""
+    artifact = _read("model", tr.load_model, args.model)
+    series = _read("series", sd.load_series_csv, args.data, args.dt)
+    normalizer = sd.fit_normalizer(series, len(series)) if args.renormalize else None
+    result = ev.predict_series(artifact, series, start_index=args.start_index, normalizer=normalizer)
+    return series, result
 
 
 def _cmd_simulate(args) -> int:
     dt = args.dt if args.dt is not None else 0.1
     if args.model_file:
-        try:
-            model = wg.load_wave_model(args.model_file)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read wave model {args.model_file}: {exc}") from exc
+        model = _read("wave model", wg.load_wave_model, args.model_file)
     elif args.model == "knox":
         model = wg.knox_training_model()
     elif args.model == "seastate5":
         model = wg.sea_state5_reference_model()
     else:
         if args.spec_file:
-            try:
-                spec = wg.load_sea_state_spec(args.spec_file)
-            except (OSError, ValueError) as exc:
-                raise CliError(f"cannot read spec {args.spec_file}: {exc}") from exc
+            spec = _read("spec", wg.load_sea_state_spec, args.spec_file)
         else:
             spec = wg.sea_state5_spec()
         model = wg.random_sea_state_model(spec, args.seed, random_phases=args.random_phases)
-    try:
-        series = sd.sample_series(model, args.n, dt)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    series = sd.sample_series(model, args.n, dt)
     outputs = [(args.out, sd.series_to_csv(series))]
     if args.save_model:
-        outputs.append((args.save_model, _json_text(wg.wave_model_to_dict(model))))
+        outputs.append((args.save_model, wg.json_text(wg.wave_model_to_dict(model))))
     _write_outputs(outputs)
     _info(args, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={dt})")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    series = _load_series(args)
+    series = _read("series", sd.load_series_csv, args.data, args.dt)
     n = len(series)
     shuffle_seed = args.shuffle_seed if args.shuffle_seed is not None else args.seed
     config = tr.TrainConfig(
@@ -141,13 +118,9 @@ def _cmd_train(args) -> int:
         hidden_dim=args.hidden,
         lookback=args.lookback,
     )
-    try:
-        boundary = int(round(args.split * n))
-        normalizer = sd.fit_normalizer(series, boundary)
-        windows = sd.make_windows(sd.apply_normalizer(normalizer, series), args.lookback)
-        split = sd.split_series(windows, args.split, n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    normalizer = sd.fit_normalizer(series, sd.split_boundary(args.split, n))
+    windows = sd.make_windows(sd.apply_normalizer(normalizer, series), args.lookback)
+    split = sd.split_series(windows, args.split, n)
     provenance = (
         f"data={args.data};n={n};dt={series.dt!r};split={args.split};seed={args.seed};"
         f"shuffle_seed={shuffle_seed};hidden={args.hidden};lookback={args.lookback};"
@@ -156,10 +129,9 @@ def _cmd_train(args) -> int:
     artifact, report = tr.train(
         split, config, args.seed, normalizer=normalizer, provenance=provenance
     )
-    outputs = [(args.out, _json_text(tr.model_to_dict(artifact)))]
+    outputs = [(args.out, wg.json_text(tr.model_to_dict(artifact)))]
     if args.report:
-        # timing is excluded so identical runs write identical reports
-        outputs.append((args.report, _json_text(report.to_dict(include_timing=False))))
+        outputs.append((args.report, wg.json_text(report.to_dict())))
     _write_outputs(outputs)
     _info(
         args,
@@ -171,9 +143,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    artifact = _load_artifact(args.model)
-    series = _load_series(args)
-    result = _forecast(args, artifact, series)
+    series, result = _forecast(args)
     predicted = ev.forecast_to_series(result, series.dt, series.t0)
     _write_outputs([(args.out, sd.series_to_csv(predicted))])
     _info(args, f"wrote {args.out} ({len(result)} predictions)")
@@ -181,13 +151,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    artifact = _load_artifact(args.model)
-    series = _load_series(args)
-    result = _forecast(args, artifact, series)
+    series, result = _forecast(args)
     report = ev.error_report(result)
     outputs = [
         (args.out_csv, ev.errors_to_csv(result, report, series.dt, series.t0)),
-        (args.out_json, _json_text(ev.summary_dict(report, len(result)))),
+        (args.out_json, wg.json_text(ev.summary_dict(report, len(result)))),
     ]
     if args.svg:
         t = series.t0 + result.target_indices * series.dt
@@ -220,29 +188,24 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rest(args) -> int:
-    artifact = _load_artifact(args.model)
-    series = _load_series(args)
-    result = _forecast(args, artifact, series)
-    try:
-        criteria = rp.RestCriteria(
-            pitch_max=args.pitch_max,
-            roll_max=args.roll_max,
-            heave_rate_max=args.heave_rate_max,
-            min_duration=args.min_duration,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    series, result = _forecast(args)
+    criteria = rp.RestCriteria(
+        pitch_max=args.pitch_max,
+        roll_max=args.roll_max,
+        heave_rate_max=args.heave_rate_max,
+        min_duration=args.min_duration,
+    )
     intervals = rp.rest_periods_from_forecast(result, series.dt, criteria, t0=series.t0)
     outputs = [(args.out, rp.intervals_to_csv(intervals))]
     if args.out_json:
-        outputs.append((args.out_json, _json_text(rp.intervals_to_dicts(intervals))))
+        outputs.append((args.out_json, wg.json_text(rp.intervals_to_dicts(intervals))))
     _write_outputs(outputs)
     _info(args, f"wrote {args.out} ({len(intervals)} rest intervals)")
     return EXIT_OK
 
 
 def _cmd_plot(args) -> int:
-    series = _load_series(args)
+    series = _read("series", sd.load_series_csv, args.data, args.dt)
     t = series.times
     panels = [
         {"title": name, "x": t, "curves": [(name, series.samples[:, k])]}

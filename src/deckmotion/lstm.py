@@ -152,11 +152,9 @@ def loss_and_gradients(
     # overflow/invalid are legitimate here: saturated gates are well-defined,
     # and a diverging loss goes non-finite, which the training loop aborts on
     with np.errstate(over="ignore", invalid="ignore"):
-        y, gi, gf, gg, go, c, tc, h = lstm_forward(
-            params.wx, params.wh, params.b, params.w_out, params.b_out, x
-        )
+        y, acts = lstm_forward(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
         diff = y - targets
         loss = float(np.mean(diff * diff))
         dy = (2.0 / diff.size) * diff
-        grads = lstm_backward(params.wx, params.wh, params.w_out, x, gi, gf, gg, go, c, tc, h, dy)
+        grads = lstm_backward(params.wx, params.wh, params.w_out, x, acts, dy)
     return loss, grads

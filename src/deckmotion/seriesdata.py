@@ -61,6 +61,9 @@ def sample_series(model: WaveModel, n: int, dt: float) -> MotionSeries:
         raise ValueError(f"n must be >= 1, got {n}")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    # in Python floats an overflow gives inf, not a numpy warning
+    if not math.isfinite((n - 1) * float(dt)):
+        raise ValueError(f"sample span (n-1)*dt is not finite: n={n}, dt={dt}")
     times = np.arange(n) * dt
     return MotionSeries(dt=dt, samples=evaluate_model_array(model, times))
 
@@ -114,17 +117,24 @@ class SplitDataset:
     boundary_index: int
 
 
+def split_boundary(train_fraction: float, n: int) -> int:
+    """The train/test boundary round(train_fraction * n) of an n-sample
+    series: training, and the normalizer fit, use samples 0..boundary-1."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    return int(round(train_fraction * n))
+
+
 def split_series(
     windows: WindowedDataset, train_fraction: float, source_length: int
 ) -> SplitDataset:
     """Split on target indices: train targets < boundary <= test targets.
 
-    boundary = round(train_fraction * source_length). Test windows just past
-    the boundary read the final training samples as input history.
+    The boundary is split_boundary(train_fraction, source_length). Test
+    windows just past the boundary read the final training samples as input
+    history.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    boundary = int(round(train_fraction * source_length))
+    boundary = split_boundary(train_fraction, source_length)
     idx = windows.target_indices
     lo, hi = int(idx[0]), int(idx[-1])
     if not lo < boundary <= hi:
@@ -205,11 +215,6 @@ def series_to_csv(series: MotionSeries) -> str:
         h, p, r = (float(v) for v in series.samples[i])
         lines.append(f"{float(times[i])!r},{h!r},{p!r},{r!r}")
     return "\n".join(lines) + "\n"
-
-
-def save_series_csv(series: MotionSeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(series_to_csv(series))
 
 
 def load_series_csv(path, dt: float | None = None) -> MotionSeries:

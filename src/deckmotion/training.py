@@ -17,7 +17,7 @@ import numpy as np
 
 from .lstm import LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
 from .seriesdata import Normalizer, SplitDataset
-from .wavegen import json_int
+from .wavegen import json_int, json_text
 
 FORMAT_VERSION = 1
 
@@ -78,15 +78,13 @@ class TrainReport:
     wall_time_seconds: float
     config: TrainConfig
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report document, without the wall time, so reruns write the same bytes."""
+        return {
             "epoch_losses": self.epoch_losses,
             "final_test_loss": self.final_test_loss,
             "config": asdict(self.config),
         }
-        if include_timing:
-            doc["wall_time_seconds"] = self.wall_time_seconds
-        return doc
 
 
 @dataclass
@@ -174,9 +172,13 @@ def train(
             total += loss * len(idx)
         epoch_losses.append(total / n_train)
 
-    test_preds = predict_windows(params, split.test.inputs)
-    diff = test_preds - split.test.targets
-    final_test_loss = float(np.mean(diff * diff))
+    # a last batch that diverged can leave weights so large that the test
+    # forecast or its squared error overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = predict_windows(params, split.test.inputs) - split.test.targets
+        final_test_loss = float(np.mean(diff * diff))
+    if not math.isfinite(final_test_loss):
+        raise TrainingDivergedError("non-finite test loss after the last epoch")
 
     artifact = ModelArtifact(
         config=lstm_config,
@@ -258,8 +260,7 @@ def _block(params: dict, name: str, shape: tuple) -> np.ndarray:
 
 def save_model(artifact: ModelArtifact, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(artifact), f, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(json_text(model_to_dict(artifact)))
 
 
 def load_model(path) -> ModelArtifact:

@@ -243,12 +243,6 @@ def wave_model_from_dict(doc: dict) -> WaveModel:
     return WaveModel(label=label, **kwargs)
 
 
-def save_wave_model(model: WaveModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(wave_model_to_dict(model), f, indent=2, allow_nan=False)
-        f.write("\n")
-
-
 def load_wave_model(path) -> WaveModel:
     with open(path, "r", encoding="utf-8") as f:
         return wave_model_from_dict(json.load(f))
@@ -289,6 +283,12 @@ def json_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def json_text(doc) -> str:
+    """Indented JSON text with a final newline, as every JSON file is
+    written; a non-finite number raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:

@@ -1,13 +1,17 @@
 """CLI pipelines: flags, file formats, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deckmotion import cli
 from deckmotion import seriesdata as sd
@@ -65,7 +69,7 @@ def test_simulate_spec_file(tmp_path):
 
 def test_simulate_reads_wave_model_file(tmp_path):
     model_path = tmp_path / "wave.json"
-    wg.save_wave_model(wg.sea_state5_reference_model(), model_path)
+    model_path.write_text(wg.json_text(wg.wave_model_to_dict(wg.sea_state5_reference_model())))
     out_file = tmp_path / "from_file.csv"
     out_builtin = tmp_path / "builtin.csv"
     assert run("simulate", "--model-file", model_path, "--n", 100, "--out", out_file, "--quiet") == 0
@@ -92,17 +96,32 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
-def test_missing_input_exits_1(tmp_path):
-    assert run("train", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.json", "--quiet") == 1
-    assert run("plot", "--data", tmp_path / "missing.csv", "--out", tmp_path / "p.svg", "--quiet") == 1
+def test_missing_input_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    series = tmp_path / "series.csv"
+    assert run("simulate", "--n", 50, "--out", series, "--quiet") == 0
+    commands = [
+        ("series", ["train", "--data", missing, "--out", tmp_path / "m.json"]),
+        ("series", ["plot", "--data", missing, "--out", tmp_path / "p.svg"]),
+        ("model", ["predict", "--model", missing, "--data", series, "--out", tmp_path / "p.csv"]),
+        ("wave model", ["simulate", "--model-file", missing, "--out", tmp_path / "s.csv"]),
+        ("spec", ["simulate", "--model", "random", "--spec-file", missing, "--out", tmp_path / "s.csv"]),
+    ]
+    for what, argv in commands:
+        assert run(*argv, "--quiet") == 1
+        assert f"cannot read {what} {missing}" in capsys.readouterr().err
 
 
-def test_bad_seed_exits_1(pipeline, tmp_path):
+def test_bad_seed_exits_1(pipeline, tmp_path, capsys):
     root, series, model, _ = pipeline
-    assert run(
-        "train", "--data", series, "--lookback", "20", "--hidden", "4", "--epochs", "1",
-        "--seed", "-3", "--out", tmp_path / "m.json", "--quiet",
-    ) == 1
+    train = ["train", "--data", series, "--lookback", "20", "--hidden", "4", "--epochs", "1",
+             "--out", tmp_path / "m.json", "--quiet"]
+    assert run(*train, "--seed", "-3") == 1
+    # a split outside (0, 1) is refused before the normalizer is fitted on it
+    for split in ("inf", "1e308", "1.5", "nan", "1", "0"):
+        assert run(*train, f"--split={split}") == 1
+        assert "train_fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +222,7 @@ def test_evaluate_zero_error_on_memorizable_series(tmp_path):
     normalizer offset stores the constant: the memorizing test double."""
     samples = np.tile([[0.7, -0.2, 1.1]], (60, 1))
     series_path = tmp_path / "const.csv"
-    sd.save_series_csv(sd.MotionSeries(dt=0.5, samples=samples), series_path)
+    series_path.write_text(sd.series_to_csv(sd.MotionSeries(dt=0.5, samples=samples)))
 
     H = 4
     artifact = tr.ModelArtifact(
@@ -244,7 +263,7 @@ def test_renormalize_flag(pipeline, tmp_path):
 def test_divergence_exits_3(tmp_path):
     rng = np.random.default_rng(0)
     series_path = tmp_path / "series.csv"
-    sd.save_series_csv(sd.MotionSeries(dt=0.1, samples=rng.normal(size=(80, 3))), series_path)
+    series_path.write_text(sd.series_to_csv(sd.MotionSeries(dt=0.1, samples=rng.normal(size=(80, 3)))))
     code = run(
         "train", "--data", series_path, "--lookback", "10", "--hidden", "4",
         "--epochs", "60", "--batch", "16", "--lr", "1e12", "--optimizer", "sgd",
@@ -282,7 +301,7 @@ def test_overflowing_forecast_exits_1(pipeline, tmp_path):
     samples = sd.sample_series(wg.sea_state5_reference_model(), 200, 0.25).samples.copy()
     samples[:, 2] *= 1e307
     huge = tmp_path / "huge.csv"
-    sd.save_series_csv(sd.MotionSeries(dt=0.25, samples=samples), huge)
+    huge.write_text(sd.series_to_csv(sd.MotionSeries(dt=0.25, samples=samples)))
     out_json = tmp_path / "summary.json"
     code = run(
         "evaluate", "--model", model, "--data", huge,
@@ -291,7 +310,7 @@ def test_overflowing_forecast_exits_1(pipeline, tmp_path):
     assert code == 1
     assert not out_json.exists()
     with pytest.raises(ValueError):
-        cli._json_text({"mae": float("inf")})
+        wg.json_text({"mae": float("inf")})
 
 
 def test_time_column_beyond_float64_range(tmp_path, capsys):
@@ -382,3 +401,54 @@ def test_pipeline_reproducible(tmp_path, monkeypatch):
         a = (tmp_path / "one" / name).read_bytes()
         b = (tmp_path / "two" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+# every float flag gets values a run would use, any float, and the ones
+# float() lets through that no sane run uses
+ODD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+FLOATS = st.floats(0.0, 1.0) | st.floats() | ODD_FLOATS
+
+
+def _flags(**values):
+    # --flag=value, so that argparse does not take "-1e+308" for a flag
+    return st.fixed_dictionaries(values).map(
+        lambda drawn: [f"--{name.replace('_', '-')}={v!r}" for name, v in drawn.items()]
+    )
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.just("simulate"), _flags(n=st.integers(-2, 40) | ODD_FLOATS, dt=FLOATS)),
+    st.tuples(st.just("train"), _flags(split=FLOATS, lr=FLOATS)),
+    st.tuples(
+        st.just("rest"),
+        _flags(pitch_max=FLOATS, roll_max=FLOATS, min_duration=FLOATS, heave_rate_max=FLOATS),
+    ),
+)
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(COMMANDS)
+@example(("train", ["--split=inf", "--lr=0.001"]))
+@example(("train", ["--split=0.07", "--lr=1e+308"]))  # one batch, then a diverged test loss
+@example(("simulate", ["--n=3", "--dt=1e+308"]))
+def test_numeric_flags_give_an_exit_code(pipeline, command):
+    """Any float on a numeric flag ends in a documented exit code: no
+    traceback and no numpy RuntimeWarning."""
+    root, series, model, _ = pipeline
+    name, flags = command
+    out = root / "drawn"
+    fixed = {
+        "simulate": ["--out", out / "s.csv"],
+        "train": ["--data", series, "--lookback", "20", "--hidden", "4", "--epochs", "1",
+                  "--out", out / "m.json", "--report", out / "r.json"],
+        "rest": ["--model", model, "--data", series, "--out", out / "i.csv",
+                 "--out-json", out / "i.json"],
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = run(name, *fixed, *flags, "--quiet")
+        except SystemExit as exc:  # argparse rejects a non-integer --n
+            code = exc.code
+    # only training can diverge
+    assert code in ((0, 1, 2, 3) if name == "train" else (0, 1, 2))

@@ -36,10 +36,9 @@ def test_forward_and_predict_consistent():
     for batch in (1, 4, rows, rows + 1, rows + 4, 2 * rows + 1):
         params, x = _random_case(9, hidden=8, batch=batch)
         args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
-        y_full, *acts = K.lstm_forward(*args)
+        y_full, acts = K.lstm_forward(*args)
         assert np.array_equal(y_full, K.lstm_predict(*args)), batch
-        assert len(acts) == 7
-        assert all(a.shape == (7, batch, 8) for a in acts)
+        assert acts.shape == (7, 7, batch, 8)
     assert lstm.predict_windows(params, np.zeros((0, 7, 3))).shape == (0, 3)
 
 

@@ -37,6 +37,9 @@ def test_sample_series_validation():
         sd.sample_series(m, 0, 0.1)
     with pytest.raises(ValueError):
         sd.sample_series(m, 10, 0.0)
+    # the span (n-1)*dt overflows float64 before any time is built
+    with pytest.raises(ValueError, match=r"n=3, dt=1e\+308"):
+        sd.sample_series(m, 3, 1e308)
 
 
 def test_make_windows_counts(knox_series):
@@ -192,7 +195,7 @@ def test_series_samples_immutable(knox_series):
 
 def test_csv_round_trip(tmp_path, knox_series):
     path = tmp_path / "series.csv"
-    sd.save_series_csv(knox_series, path)
+    path.write_text(sd.series_to_csv(knox_series))
     loaded = sd.load_series_csv(path)
     assert loaded.dt == knox_series.dt
     assert loaded.t0 == knox_series.t0
