@@ -159,26 +159,22 @@ def _cmd_evaluate(args) -> int:
     ]
     if args.svg:
         t = series.t0 + result.target_indices * series.dt
-        pred_panels = []
-        err_panels = []
-        for k, name in enumerate(wg.CHANNELS):
-            pred_panels.append(
-                {
-                    "title": f"{name}: truth vs prediction",
-                    "x": t,
-                    "curves": [
-                        ("truth", result.truths[:, k]),
-                        ("prediction", result.predictions[:, k]),
-                    ],
-                }
-            )
-            err_panels.append(
-                {
-                    "title": f"{name}: absolute error (mae {report.mae[k]:.4g})",
-                    "x": t,
-                    "curves": [("abs error", report.abs_errors[:, k])],
-                }
-            )
+        pred_panels = [
+            {
+                "title": f"{name}: truth vs prediction",
+                "x": t,
+                "curves": [("truth", result.truths[:, k]), ("prediction", result.predictions[:, k])],
+            }
+            for k, name in enumerate(wg.CHANNELS)
+        ]
+        err_panels = [
+            {
+                "title": f"{name}: absolute error (mae {report.mae[k]:.4g})",
+                "x": t,
+                "curves": [("abs error", report.abs_errors[:, k])],
+            }
+            for k, name in enumerate(wg.CHANNELS)
+        ]
         outputs.append((os.path.join(args.svg, "predictions.svg"), svgplot.render_panels(pred_panels)))
         outputs.append((os.path.join(args.svg, "errors.svg"), svgplot.render_panels(err_panels)))
     _write_outputs(outputs)
@@ -218,7 +214,6 @@ def _cmd_plot(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     common.add_argument(
         "--dt",
         type=float,
@@ -244,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", default=None, help="sample a wave model JSON instead of --model")
     p.add_argument("--spec-file", default=None, help="JSON range spec for --model random (default: sea-state-5 ranges)")
     p.add_argument("--n", type=int, default=2000, help="number of samples (default 2000)")
+    p.add_argument("--seed", type=int, default=0, help="seed for --model random (default 0)")
     p.add_argument("--out", required=True, help="output series CSV path")
     p.add_argument("--save-model", default=None, help="also write the wave model as JSON")
     p.add_argument(
@@ -262,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32, help="mini-batch size (default 32)")
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
     p.add_argument("--optimizer", choices=tr.OPTIMIZERS, default="adam", help="update rule (default adam)")
+    p.add_argument("--seed", type=int, default=0, help="weight-init and default shuffle seed (default 0)")
     p.add_argument(
         "--shuffle-seed", type=int, default=None, help="epoch shuffle seed (default: --seed)"
     )

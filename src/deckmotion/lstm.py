@@ -21,12 +21,13 @@ from ._kernels import as_time_major, lstm_backward, lstm_forward, lstm_predict
 
 GATE_NAMES = ("i", "f", "g", "o")
 
+# Inputs and outputs are both the heave, pitch and roll channels.
+CHANNEL_DIM = 3
+
 
 @dataclass(frozen=True)
 class LstmConfig:
     hidden_dim: int = 64
-    input_dim: int = 3
-    output_dim: int = 3
     lookback: int = 40
 
     def __post_init__(self):
@@ -34,12 +35,10 @@ class LstmConfig:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.lookback < 1:
             raise ValueError(f"lookback must be >= 1, got {self.lookback}")
-        if self.input_dim != 3 or self.output_dim != 3:
-            raise ValueError("joint tri-channel prediction requires input_dim = output_dim = 3")
 
     def named_shapes(self) -> dict[str, tuple[int, ...]]:
         """The shape of each LstmParams.named() block, in the same order."""
-        H, D, K = self.hidden_dim, self.input_dim, self.output_dim
+        H, D, K = self.hidden_dim, CHANNEL_DIM, CHANNEL_DIM
         per_gate = {"w": (H, D), "u": (H, H), "b": (H,)}
         gates = {f"{p}_{gate}": shape for gate in GATE_NAMES for p, shape in per_gate.items()}
         return {**gates, "w_out": (K, H), "b_out": (K,)}
@@ -49,11 +48,11 @@ class LstmConfig:
 class LstmParams:
     """All network weights, stacked per the kernel layout."""
 
-    wx: np.ndarray  # (4H, input_dim)
+    wx: np.ndarray  # (4H, CHANNEL_DIM)
     wh: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
-    w_out: np.ndarray  # (output_dim, H)
-    b_out: np.ndarray  # (output_dim,)
+    w_out: np.ndarray  # (CHANNEL_DIM, H)
+    b_out: np.ndarray  # (CHANNEL_DIM,)
 
     def __post_init__(self):
         for name in ("wx", "wh", "b", "w_out", "b_out"):
@@ -61,22 +60,14 @@ class LstmParams:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite entries in {name}")
         H = self.wh.shape[1]
-        if self.wh.shape != (4 * H, H) or self.wx.shape[0] != 4 * H or self.b.shape != (4 * H,):
+        if self.wh.shape != (4 * H, H) or self.wx.shape != (4 * H, CHANNEL_DIM) or self.b.shape != (4 * H,):
             raise ValueError("inconsistent gate-stack shapes")
-        if self.w_out.shape[1] != H or self.b_out.shape != (self.w_out.shape[0],):
-            raise ValueError("output head shape does not match hidden_dim")
+        if self.w_out.shape != (CHANNEL_DIM, H) or self.b_out.shape != (CHANNEL_DIM,):
+            raise ValueError(f"output head must have shapes ({CHANNEL_DIM}, hidden_dim) and ({CHANNEL_DIM},)")
 
     @property
     def hidden_dim(self) -> int:
         return self.wh.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.wx.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.w_out.shape[0]
 
     def named(self) -> dict[str, np.ndarray]:
         """Per-gate named views (w_i, u_i, b_i, ... w_out, b_out).
@@ -111,7 +102,7 @@ def init_params(config: LstmConfig, seed: int) -> LstmParams:
     except the forget gate, whose bias starts at 1 to keep early gradients
     flowing. Deterministic in (config, seed)."""
     rng = np.random.default_rng(seed)
-    H, D, K = config.hidden_dim, config.input_dim, config.output_dim
+    H, D, K = config.hidden_dim, CHANNEL_DIM, CHANNEL_DIM
     s = 1.0 / math.sqrt(H)
     wx = rng.uniform(-s, s, (4 * H, D))
     wh = rng.uniform(-s, s, (4 * H, H))
@@ -130,8 +121,8 @@ def forward_window(params: LstmParams, window: np.ndarray) -> np.ndarray:
 def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """Predict a whole (B, L, 3) batch at once; returns (B, 3)."""
     x = as_time_major(windows)
-    if x.shape[2] != params.input_dim:
-        raise ValueError(f"windows have {x.shape[2]} channels, expected {params.input_dim}")
+    if x.shape[2] != CHANNEL_DIM:
+        raise ValueError(f"windows have {x.shape[2]} channels, expected {CHANNEL_DIM}")
     with np.errstate(over="ignore"):
         return lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
 
@@ -146,7 +137,7 @@ def loss_and_gradients(
     targets = np.asarray(targets, dtype=np.float64)
     if windows.ndim != 3 or len(windows) == 0:
         raise ValueError("batch must be a non-empty (B, L, 3) array")
-    if targets.shape != (len(windows), params.output_dim):
+    if targets.shape != (len(windows), CHANNEL_DIM):
         raise ValueError(f"targets shape {targets.shape} does not match batch")
     x = as_time_major(windows)
     # overflow/invalid are legitimate here: saturated gates are well-defined,

@@ -233,12 +233,17 @@ def load_series_csv(path, dt: float | None = None) -> MotionSeries:
     if rows.shape[1] != 4:
         raise ValueError(f"{path}: expected 4 columns, got {rows.shape[1]}")
     times = rows[:, 0]
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"{path}: t column must be finite")
     if dt is None:
         if len(times) < 2:
             raise ValueError(f"{path}: cannot infer dt from a single row; pass dt explicitly")
         dt = float(times[1]) - float(times[0])
     series = MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
     atol = 1e-9 * max(1.0, float(np.abs(times).max()))
-    if not np.allclose(times, series.times, rtol=0.0, atol=atol):
+    # a difference that overflows is inf, which fails the check as it should
+    with np.errstate(over="ignore"):
+        uniform = np.allclose(times, series.times, rtol=0.0, atol=atol)
+    if not uniform:
         raise ValueError(f"{path}: t column is not uniformly spaced at dt={dt}")
     return series

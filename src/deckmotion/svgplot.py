@@ -18,6 +18,10 @@ _MARGIN_RIGHT = 16
 _MARGIN_TOP = 28
 _MARGIN_BOTTOM = 34
 
+_WIDTH = 900
+_PANEL_HEIGHT = 240
+_X_LABEL = "t [s]"
+
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
@@ -43,30 +47,25 @@ def _offsets(values: np.ndarray, vmin: float, vmax: float, extent: float) -> np.
     return (values * k - vmin * k) * (extent / (vmax * k - vmin * k))
 
 
-def render_panels(
-    panels: list[dict],
-    width: int = 900,
-    panel_height: int = 240,
-    x_label: str = "t [s]",
-) -> str:
+def render_panels(panels: list[dict]) -> str:
     """Stack line-chart panels in one SVG document.
 
     Each panel is {"title": str, "x": array, "curves": [(label, array), ...]}.
     """
-    height = panel_height * len(panels)
+    height = _PANEL_HEIGHT * len(panels)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
     ]
     for pi, panel in enumerate(panels):
         x = np.asarray(panel["x"], dtype=np.float64)
         curves = [(label, np.asarray(y, dtype=np.float64)) for label, y in panel["curves"]]
-        top = pi * panel_height
+        top = pi * _PANEL_HEIGHT
         ax_top = top + _MARGIN_TOP
-        ax_bottom = top + panel_height - _MARGIN_BOTTOM
+        ax_bottom = top + _PANEL_HEIGHT - _MARGIN_BOTTOM
         ax_left = _MARGIN_LEFT
-        ax_right = width - _MARGIN_RIGHT
+        ax_right = _WIDTH - _MARGIN_RIGHT
 
         xmin, xmax = _limits(x)
         ymin, ymax = _limits(np.concatenate([y for _, y in curves]))
@@ -88,7 +87,7 @@ def render_panels(
             f'<text x="{ax_left - 6}" y="{ax_top + 3}" text-anchor="end">{_fmt(ymax)}</text>'
             f'<text x="{ax_left}" y="{ax_bottom + 14}">{_fmt(xmin)}</text>'
             f'<text x="{ax_right}" y="{ax_bottom + 14}" text-anchor="end">{_fmt(xmax)}</text>'
-            f'<text x="{(ax_left + ax_right) // 2}" y="{ax_bottom + 26}" text-anchor="middle">{x_label}</text>'
+            f'<text x="{(ax_left + ax_right) // 2}" y="{ax_bottom + 26}" text-anchor="middle">{_X_LABEL}</text>'
             f"</g>"
         )
         for ci, (label, y) in enumerate(curves):

@@ -8,20 +8,24 @@ than being clamped, so bad hyperparameters surface at the failing batch.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lstm import LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
+from .lstm import CHANNEL_DIM, LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
 from .seriesdata import Normalizer, SplitDataset
-from .wavegen import json_int, json_text
+from .wavegen import json_int, json_load, json_text
 
 FORMAT_VERSION = 1
 
 OPTIMIZERS = ("adam", "sgd")
+
+# Adam's decay rates and denominator guard, as in Kingma & Ba (2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class ModelFileError(Exception):
@@ -50,9 +54,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     shuffle_seed: int = 0
     hidden_dim: int = 64
     lookback: int = 40
@@ -105,29 +106,26 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, params: LstmParams):
+    def __init__(self, lr: float, params: LstmParams):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(a) for a in params.arrays()]
         self.v = [np.zeros_like(a) for a in params.arrays()]
 
     def step(self, params: LstmParams, grads: tuple[np.ndarray, ...]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for k, (p, g) in enumerate(zip(params.arrays(), grads)):
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * g * g
+            p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + EPSILON)
 
 
 def _make_optimizer(config: TrainConfig, params: LstmParams):
     if config.optimizer == "sgd":
         return _Sgd(config.learning_rate)
-    return _Adam(config.learning_rate, config.beta1, config.beta2, config.epsilon, params)
+    return _Adam(config.learning_rate, params)
 
 
 def train(
@@ -200,9 +198,9 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "config": {
-            "input_dim": artifact.config.input_dim,
+            "input_dim": CHANNEL_DIM,
             "hidden_dim": artifact.config.hidden_dim,
-            "output_dim": artifact.config.output_dim,
+            "output_dim": CHANNEL_DIM,
             "lookback": artifact.config.lookback,
         },
         "normalizer": {
@@ -226,10 +224,11 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         cfg = doc["config"]
         config = LstmConfig(
             hidden_dim=json_int(cfg["hidden_dim"], "hidden_dim"),
-            input_dim=json_int(cfg.get("input_dim", 3), "input_dim"),
-            output_dim=json_int(cfg.get("output_dim", 3), "output_dim"),
             lookback=json_int(cfg["lookback"], "lookback"),
         )
+        for key in ("input_dim", "output_dim"):
+            if json_int(cfg.get(key, CHANNEL_DIM), key) != CHANNEL_DIM:
+                raise ValueError(f"joint tri-channel prediction requires {key} = {CHANNEL_DIM}")
         norm_doc = doc["normalizer"]
         normalizer = Normalizer(
             offset=np.array(norm_doc["offset"], dtype=np.float64),
@@ -240,7 +239,8 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         shapes = config.named_shapes()
         named = {name: _block(doc["params"], name, shape) for name, shape in shapes.items()}
         provenance = str(doc.get("provenance", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer beyond float64, such as 1e400 written in full
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedModelFileError(f"malformed model document: {exc}") from exc
     try:
         params = LstmParams.from_named(named)
@@ -265,8 +265,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 def load_model(path) -> ModelArtifact:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json_load(path)
+    except ValueError as exc:
         raise MalformedModelFileError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_dict(doc)

@@ -60,6 +60,8 @@ class WaveModel:
             comps = tuple(getattr(self, name))
             if len(comps) == 0:
                 raise ValueError(f"channel {name!r} needs at least one component")
+            if not math.isfinite(sum(c.amplitude for c in comps)):
+                raise ValueError(f"channel {name!r} amplitudes sum beyond float64")
             object.__setattr__(self, name, comps)
 
     def channel(self, name: str) -> tuple[SineComponent, ...]:
@@ -77,6 +79,12 @@ def evaluate_model_array(model: WaveModel, times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
+    # in Python floats an overflow gives inf, not a numpy warning
+    span = float(np.abs(times).max(initial=0.0))
+    for name in CHANNELS:
+        for c in model.channel(name):
+            if not math.isfinite(c.omega * span + abs(c.phase)):
+                raise ValueError(f"phase overflows float64: {name} omega={c.omega!r} over |t| up to {span!r} s")
     out = np.zeros((times.size, 3))
     for k, name in enumerate(CHANNELS):
         for c in model.channel(name):
@@ -182,9 +190,7 @@ _WEIGHT_LOW = 0.5
 _WEIGHT_HIGH = 1.5
 
 
-def random_sea_state_model(
-    spec: SeaStateSpec, seed: int, random_phases: bool = False, label: str = ""
-) -> WaveModel:
+def random_sea_state_model(spec: SeaStateSpec, seed: int, random_phases: bool = False) -> WaveModel:
     """Draw a random model satisfying the spec; pure function of (spec, seed).
 
     Per channel: component periods are uniform in period_range (omega =
@@ -206,7 +212,7 @@ def random_sea_state_model(
             SineComponent(float(a), TWO_PI / float(T), float(p))
             for a, T, p in zip(amplitudes, periods, phases)
         )
-    return WaveModel(label=label or f"random-{seed}", **channels)
+    return WaveModel(label=f"random-{seed}", **channels)
 
 
 def wave_model_to_dict(model: WaveModel) -> dict:
@@ -244,8 +250,7 @@ def wave_model_from_dict(doc: dict) -> WaveModel:
 
 
 def load_wave_model(path) -> WaveModel:
-    with open(path, "r", encoding="utf-8") as f:
-        return wave_model_from_dict(json.load(f))
+    return wave_model_from_dict(json_load(path))
 
 
 def sea_state_spec_to_dict(spec: SeaStateSpec) -> dict:
@@ -278,17 +283,30 @@ def json_float(value, name: str) -> float:
     """A float field read from a JSON document.
 
     Accepts an int or a float; rejects anything else, such as true or
-    "0.9", instead of converting it.
+    "0.9", instead of converting it, and an integer beyond float64.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is beyond float64 ({exc})") from exc
 
 
 def json_text(doc) -> str:
     """Indented JSON text with a final newline, as every JSON file is
     written; a non-finite number raises ValueError."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def json_load(path):
+    """The JSON document in the file at path, as every JSON file is read; a
+    file that is not UTF-8 JSON, or nests too deeply to parse, raises ValueError."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except RecursionError as exc:
+            raise ValueError(f"JSON nested too deeply to parse ({exc})") from exc
 
 
 def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
@@ -310,5 +328,4 @@ def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
 
 
 def load_sea_state_spec(path) -> SeaStateSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return sea_state_spec_from_dict(json.load(f))
+    return sea_state_spec_from_dict(json_load(path))

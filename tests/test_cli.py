@@ -17,7 +17,7 @@ from deckmotion import cli
 from deckmotion import seriesdata as sd
 from deckmotion import training as tr
 from deckmotion import wavegen as wg
-from deckmotion.lstm import LstmConfig, LstmParams
+from deckmotion.lstm import LstmConfig, LstmParams, init_params
 
 
 def run(*argv):
@@ -323,6 +323,36 @@ def test_time_column_beyond_float64_range(tmp_path, capsys):
     assert "sample times t0 + k*dt overflow float64" in capsys.readouterr().err
 
 
+def test_phase_overflow_exits_1(tmp_path, capsys):
+    # the span 2 * 8e307 is finite, but omega * t overflows float64 for any
+    # omega above 1.12 (sea-state-5 heave reaches 1.256; Knox stops at 0.82)
+    for model, code in (("seastate5", 1), ("knox", 0)):
+        out = tmp_path / f"{model}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["simulate", "--model", model, "--n", 3, "--dt", 8e307, "--out", out]
+            assert run(*argv, "--quiet") == code
+        assert out.exists() == (code == 0)
+    assert "omega=1.256" in capsys.readouterr().err
+
+
+DEEP_JSON = b"[" * 200000 + b"]" * 200000
+
+
+@pytest.mark.parametrize("flag", ["--model", "--model-file", "--spec-file"])
+def test_deeply_nested_json_exits_1(pipeline, tmp_path, capsys, flag):
+    root, series, model, _ = pipeline
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(DEEP_JSON)
+    argv = {
+        "--model": ["predict", "--model", deep, "--data", series],
+        "--model-file": ["simulate", "--model-file", deep],
+        "--spec-file": ["simulate", "--model", "random", "--spec-file", deep],
+    }[flag]
+    assert run(*argv, "--out", tmp_path / "out.csv", "--quiet") == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_memory_error_exits_1(tmp_path, monkeypatch, capsys):
     # a real 10**12-sample request is not allocated here: whether that fails
     # at once depends on the host's overcommit mode
@@ -452,3 +482,113 @@ def test_numeric_flags_give_an_exit_code(pipeline, command):
             code = exc.code
     # only training can diverge
     assert code in ((0, 1, 2, 3) if name == "train" else (0, 1, 2))
+
+
+# Loader inputs: raw bytes or text, any JSON document, or a valid document
+# with one value replaced or one key deleted. Integers stay small, or past
+# every size limit, so that no draw asks for gigabytes of memory.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=6)
+    | st.sampled_from([2**63, 10**400, -(10**400)])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """Every path below the root of doc; of a list, only its first and last items."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = [(k, doc[k]) for k in sorted({0, len(doc) - 1})] if doc else []
+    else:
+        items = ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _json_inputs(doc):
+    paths = list(_paths(doc))
+    edited = st.builds(_replaced, st.just(doc), st.sampled_from(paths), JSON_VALUES | st.just(_DELETE))
+    return (JSON_VALUES | edited).map(lambda d: json.dumps(d).encode())
+
+
+def _csv_inputs(text):
+    rows = [line.split(",") for line in text.splitlines()]
+    cells = st.text(max_size=8) | st.floats().map(repr) | st.integers().map(str)
+
+    def edit(row, col, cell):
+        edited = [list(r) for r in rows]
+        edited[row][col] = cell
+        return "\n".join(",".join(r) for r in edited).encode()
+
+    return st.builds(edit, st.integers(0, len(rows) - 1), st.integers(0, 3), cells)
+
+
+_CONFIG = LstmConfig(hidden_dim=2, lookback=20)
+_MODEL_DOC = tr.model_to_dict(tr.ModelArtifact(_CONFIG, init_params(_CONFIG, 0), sd.Normalizer()))
+_WAVE_DOC = wg.wave_model_to_dict(wg.knox_training_model())
+_LOADER_DOCS = {
+    "--model": _json_inputs(_MODEL_DOC),
+    "--model-file": _json_inputs(_WAVE_DOC),
+    "--spec-file": _json_inputs(wg.sea_state_spec_to_dict(wg.sea_state5_spec())),
+    "--data": _csv_inputs(sd.series_to_csv(sd.sample_series(wg.knox_training_model(), 30, 0.25))),
+}
+LOADER_INPUTS = st.sampled_from(sorted(_LOADER_DOCS)).flatmap(
+    lambda flag: st.tuples(
+        st.just(flag), st.binary(max_size=40) | st.text(max_size=40).map(str.encode) | _LOADER_DOCS[flag]
+    )
+)
+
+
+def _example_doc(doc, path, value):
+    return json.dumps(_replaced(doc, path, value)).encode()
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(LOADER_INPUTS)
+@example(("--model", DEEP_JSON))
+# an integer beyond float64 in a weight and in a wave-model number
+@example(("--model", _example_doc(_MODEL_DOC, ("params", "b_i", 0), 10**400)))
+@example(("--model-file", _example_doc(_WAVE_DOC, ("channels", "roll", 0, "phase"), 10**400)))
+# omega * t overflows float64; two finite amplitudes sum beyond it
+@example(("--model-file", _example_doc(_WAVE_DOC, ("channels", "roll", 0, "omega"), 1e308)))
+@example(("--model-file", _example_doc(
+    _WAVE_DOC, ("channels", "roll"), [{"amplitude": 1.5e308, "omega": 1.0}] * 2
+)))
+# an infinite time; finite times whose difference from the uniform grid overflows
+@example(("--data", b"t,heave,pitch,roll\n0,0,0,0\n1,0,0,0\ninf,0,0,0\n"))
+@example(("--data", b"t,heave,pitch,roll\n-0.5e308,0,0,0\n0.3e308,1,1,1\n-1.7e308,0,0,0\n"))
+def test_loaders_give_an_exit_code(pipeline, loader_input):
+    """Any content in a file the CLI reads ends in exit 0 or 1: no
+    traceback and no numpy RuntimeWarning."""
+    root, series, model, _ = pipeline
+    flag, content = loader_input
+    path = root / "drawn-input"
+    path.write_bytes(content)
+    argv = {
+        "--model": ["predict", "--model", path, "--data", series],
+        "--model-file": ["simulate", "--model-file", path, "--n", 20],
+        "--spec-file": ["simulate", "--model", "random", "--spec-file", path, "--n", 20],
+        "--data": ["predict", "--model", model, "--data", path],
+    }[flag]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(*argv, "--out", root / "drawn" / "out.csv", "--quiet") in (0, 1)

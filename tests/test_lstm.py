@@ -72,8 +72,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         L.LstmConfig(hidden_dim=0)
     with pytest.raises(ValueError):
-        L.LstmConfig(hidden_dim=4, input_dim=2)
-    with pytest.raises(ValueError):
         L.LstmConfig(hidden_dim=4, lookback=0)
 
 

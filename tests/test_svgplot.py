@@ -46,5 +46,5 @@ def test_multi_panel_height():
         {"title": f"p{k}", "x": x, "curves": [("y", x)]}
         for k in range(3)
     ]
-    svg = svgplot.render_panels(panels, panel_height=200)
-    assert 'height="600"' in svg
+    svg = svgplot.render_panels(panels)
+    assert 'height="720"' in svg

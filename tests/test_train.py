@@ -204,6 +204,17 @@ def test_load_missing_key(artifact, tmp_path):
             tr.load_model(path)
 
 
+def test_load_other_channel_count(artifact, tmp_path):
+    # the network is 3-in/3-out; a file declaring another width is refused
+    for field, value in (("input_dim", 2), ("output_dim", 4)):
+        doc = tr.model_to_dict(artifact)
+        doc["config"][field] = value
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(tr.MalformedModelFileError, match=field):
+            tr.load_model(path)
+
+
 def test_load_nonfinite_weights(artifact, tmp_path):
     for section, name in (("params", "b_i"), ("normalizer", "offset")):
         doc = tr.model_to_dict(artifact)

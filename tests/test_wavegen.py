@@ -100,6 +100,10 @@ def test_model_needs_components():
     c = wg.SineComponent(1.0, 1.0)
     with pytest.raises(ValueError):
         wg.WaveModel(heave=(), pitch=(c,), roll=(c,))
+    # each component is finite, but their amplitude sum is not
+    big = wg.SineComponent(1.5e308, 1.0)
+    with pytest.raises(ValueError, match="amplitudes sum"):
+        wg.WaveModel(heave=(big, big), pitch=(c,), roll=(c,))
 
 
 def test_channel_spec_validation():
@@ -216,8 +220,9 @@ def test_malformed_documents_rejected():
     fractional["components_per_channel"] = 2.7
     with pytest.raises(ValueError, match="components_per_channel"):
         wg.sea_state_spec_from_dict(fractional)
-    # float fields take numbers only, not booleans or numeric strings
-    for field, value in (("amplitude", True), ("omega", "0.9")):
+    # float fields take numbers only, not booleans, numeric strings or
+    # integers beyond float64
+    for field, value in (("amplitude", True), ("omega", "0.9"), ("phase", 10**400)):
         doc = wg.wave_model_to_dict(wg.knox_training_model())
         doc["channels"]["pitch"][1][field] = value
         with pytest.raises(ValueError, match=field):
