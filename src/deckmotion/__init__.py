@@ -4,7 +4,6 @@ from .evaluate import ErrorReport, ForecastResult, error_report, predict_series
 from .lstm import (
     LstmConfig,
     LstmParams,
-    forward_window,
     init_params,
     loss_and_gradients,
     predict_windows,

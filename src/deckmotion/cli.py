@@ -64,11 +64,11 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _read(what: str, load, path, *args):
-    """load(path, *args), with any failure to read or parse the file
-    reported as a CliError that names what the file is and its path."""
+def _read(what: str, load, path):
+    """load(path), with any failure to read or parse the file reported as a
+    CliError that names what the file is and its path."""
     try:
-        return load(path, *args)
+        return load(path)
     except (OSError, ValueError, tr.ModelFileError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -76,14 +76,13 @@ def _read(what: str, load, path, *args):
 def _forecast(args) -> tuple[sd.MotionSeries, ev.ForecastResult]:
     """Load --model and --data and forecast the series one step ahead."""
     artifact = _read("model", tr.load_model, args.model)
-    series = _read("series", sd.load_series_csv, args.data, args.dt)
+    series = _read("series", sd.load_series_csv, args.data)
     normalizer = sd.fit_normalizer(series, len(series)) if args.renormalize else None
     result = ev.predict_series(artifact, series, start_index=args.start_index, normalizer=normalizer)
     return series, result
 
 
 def _cmd_simulate(args) -> int:
-    dt = args.dt if args.dt is not None else 0.1
     if args.model_file:
         model = _read("wave model", wg.load_wave_model, args.model_file)
     elif args.model == "knox":
@@ -96,25 +95,24 @@ def _cmd_simulate(args) -> int:
         else:
             spec = wg.sea_state5_spec()
         model = wg.random_sea_state_model(spec, args.seed, random_phases=args.random_phases)
-    series = sd.sample_series(model, args.n, dt)
+    series = sd.sample_series(model, args.n, args.dt)
     outputs = [(args.out, sd.series_to_csv(series))]
     if args.save_model:
         outputs.append((args.save_model, wg.json_text(wg.wave_model_to_dict(model))))
     _write_outputs(outputs)
-    _info(args, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={dt})")
+    _info(args, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={args.dt})")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    series = _read("series", sd.load_series_csv, args.data, args.dt)
+    series = _read("series", sd.load_series_csv, args.data)
     n = len(series)
-    shuffle_seed = args.shuffle_seed if args.shuffle_seed is not None else args.seed
     config = tr.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
         optimizer=args.optimizer,
-        shuffle_seed=shuffle_seed,
+        shuffle_seed=args.seed,
         hidden_dim=args.hidden,
         lookback=args.lookback,
     )
@@ -123,7 +121,7 @@ def _cmd_train(args) -> int:
     split = sd.split_series(windows, args.split, n)
     provenance = (
         f"data={args.data};n={n};dt={series.dt!r};split={args.split};seed={args.seed};"
-        f"shuffle_seed={shuffle_seed};hidden={args.hidden};lookback={args.lookback};"
+        f"shuffle_seed={args.seed};hidden={args.hidden};lookback={args.lookback};"
         f"epochs={args.epochs};batch={args.batch};lr={args.lr};optimizer={args.optimizer}"
     )
     artifact, report = tr.train(
@@ -201,7 +199,7 @@ def _cmd_rest(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    series = _read("series", sd.load_series_csv, args.data, args.dt)
+    series = _read("series", sd.load_series_csv, args.data)
     t = series.times
     panels = [
         {"title": name, "x": t, "curves": [(name, series.samples[:, k])]}
@@ -214,12 +212,6 @@ def _cmd_plot(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--dt",
-        type=float,
-        default=None,
-        help="sampling interval in seconds (simulate default 0.1; elsewhere overrides the value inferred from the CSV)",
-    )
     common.add_argument("--quiet", action="store_true", help="suppress informational messages")
 
     parser = argparse.ArgumentParser(
@@ -239,6 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", default=None, help="sample a wave model JSON instead of --model")
     p.add_argument("--spec-file", default=None, help="JSON range spec for --model random (default: sea-state-5 ranges)")
     p.add_argument("--n", type=int, default=2000, help="number of samples (default 2000)")
+    p.add_argument(
+        "--dt", type=float, default=0.1, help="sampling interval in seconds, kept in the CSV's t column (default 0.1)"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for --model random (default 0)")
     p.add_argument("--out", required=True, help="output series CSV path")
     p.add_argument("--save-model", default=None, help="also write the wave model as JSON")
@@ -258,10 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32, help="mini-batch size (default 32)")
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
     p.add_argument("--optimizer", choices=tr.OPTIMIZERS, default="adam", help="update rule (default adam)")
-    p.add_argument("--seed", type=int, default=0, help="weight-init and default shuffle seed (default 0)")
-    p.add_argument(
-        "--shuffle-seed", type=int, default=None, help="epoch shuffle seed (default: --seed)"
-    )
+    p.add_argument("--seed", type=int, default=0, help="weight-init and epoch shuffle seed (default 0)")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--report", default=None, help="also write a training report JSON")
     p.set_defaults(func=_cmd_train)

@@ -28,7 +28,7 @@ from .wavegen import CHANNELS
 
 @dataclass(frozen=True)
 class ForecastResult:
-    """Aligned predictions and truths at strictly increasing source indices."""
+    """Aligned predictions and truths at a contiguous run of source indices."""
 
     target_indices: np.ndarray  # (m,) int
     predictions: np.ndarray  # (m, 3), physical units
@@ -39,17 +39,13 @@ class ForecastResult:
             raise ValueError("target_indices, predictions and truths must have equal length")
         if len(self.target_indices) == 0:
             raise ValueError("forecast result must be non-empty")
-        if np.any(np.diff(self.target_indices) <= 0):
-            raise ValueError("target_indices must be strictly increasing")
+        if np.any(np.diff(self.target_indices) != 1):
+            raise ValueError("target_indices must be contiguous: each one more than the last")
         if not np.all(np.isfinite(self.predictions)):
             raise ValueError("forecast is not finite: the series exceeds the float64 range")
 
     def __len__(self) -> int:
         return len(self.target_indices)
-
-    def require_contiguous(self) -> None:
-        if np.any(np.diff(self.target_indices) != 1):
-            raise ValueError("forecast indices are not contiguous")
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,5 @@ def errors_to_csv(result: ForecastResult, report: ErrorReport, dt: float, t0: fl
 
 
 def forecast_to_series(result: ForecastResult, dt: float, t0: float = 0.0) -> MotionSeries:
-    """Predicted channels as a MotionSeries (requires contiguous indices)."""
-    result.require_contiguous()
+    """Predicted channels as a MotionSeries."""
     return MotionSeries(dt=dt, samples=result.predictions, t0=t0 + int(result.target_indices[0]) * dt)

@@ -112,12 +112,6 @@ def init_params(config: LstmConfig, seed: int) -> LstmParams:
     return LstmParams(wx=wx, wh=wh, b=b, w_out=w_out, b_out=np.zeros(K))
 
 
-def forward_window(params: LstmParams, window: np.ndarray) -> np.ndarray:
-    """Predict one (lookback, 3) window, run from a zero state; returns the
-    joint (3,) prediction."""
-    return predict_windows(params, np.asarray(window)[None])[0]
-
-
 def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """Predict a whole (B, L, 3) batch at once; returns (B, 3)."""
     x = as_time_major(windows)

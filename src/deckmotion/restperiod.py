@@ -64,11 +64,7 @@ def calm_mask(samples: np.ndarray, dt: float, criteria: RestCriteria) -> np.ndar
 
 
 def _intervals_from_mask(
-    mask: np.ndarray,
-    dt: float,
-    criteria: RestCriteria,
-    index_of: np.ndarray,
-    t0: float,
+    mask: np.ndarray, dt: float, criteria: RestCriteria, first: int, t0: float
 ) -> list[RestInterval]:
     calm = np.flatnonzero(mask)
     if calm.size == 0:
@@ -80,7 +76,7 @@ def _intervals_from_mask(
     for s, e in zip(starts, ends):
         duration = float((e - s) * dt)
         if duration >= criteria.min_duration:
-            si, ei = int(index_of[s]), int(index_of[e])
+            si, ei = first + int(s), first + int(e)
             intervals.append(
                 RestInterval(
                     start_index=si,
@@ -96,20 +92,16 @@ def _intervals_from_mask(
 def detect_rest_periods(series: MotionSeries, criteria: RestCriteria) -> list[RestInterval]:
     """All maximal calm runs of duration >= min_duration, in time order."""
     mask = calm_mask(series.samples, series.dt, criteria)
-    return _intervals_from_mask(
-        mask, series.dt, criteria, np.arange(len(series)), series.t0
-    )
+    return _intervals_from_mask(mask, series.dt, criteria, 0, series.t0)
 
 
 def rest_periods_from_forecast(
     result: ForecastResult, dt: float, criteria: RestCriteria, t0: float = 0.0
 ) -> list[RestInterval]:
     """Same rule applied to predicted channels; interval indices refer to
-    the source series (the forecast's target indices, which must be
-    contiguous)."""
-    result.require_contiguous()
+    the source series (the forecast's target indices)."""
     mask = calm_mask(result.predictions, dt, criteria)
-    return _intervals_from_mask(mask, dt, criteria, result.target_indices, t0)
+    return _intervals_from_mask(mask, dt, criteria, int(result.target_indices[0]), t0)
 
 
 def intervals_to_csv(intervals: list[RestInterval]) -> str:

@@ -217,9 +217,9 @@ def series_to_csv(series: MotionSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_series_csv(path, dt: float | None = None) -> MotionSeries:
-    """Read a t,heave,pitch,roll CSV; dt is inferred from the t column
-    unless given explicitly (required for single-row files)."""
+def load_series_csv(path) -> MotionSeries:
+    """Read a t,heave,pitch,roll CSV; t0 and dt come from the t column, so
+    the file needs at least two rows."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0].replace(" ", "") != CSV_HEADER:
@@ -235,10 +235,9 @@ def load_series_csv(path, dt: float | None = None) -> MotionSeries:
     times = rows[:, 0]
     if not np.all(np.isfinite(times)):
         raise ValueError(f"{path}: t column must be finite")
-    if dt is None:
-        if len(times) < 2:
-            raise ValueError(f"{path}: cannot infer dt from a single row; pass dt explicitly")
-        dt = float(times[1]) - float(times[0])
+    if len(times) < 2:
+        raise ValueError(f"{path}: cannot infer dt from a single row")
+    dt = float(times[1]) - float(times[0])
     series = MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
     atol = 1e-9 * max(1.0, float(np.abs(times).max()))
     # a difference that overflows is inf, which fails the check as it should

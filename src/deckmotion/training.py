@@ -8,6 +8,7 @@ than being clamped, so bad hyperparameters surface at the failing batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -231,8 +232,8 @@ def model_from_dict(doc: dict) -> ModelArtifact:
                 raise ValueError(f"joint tri-channel prediction requires {key} = {CHANNEL_DIM}")
         norm_doc = doc["normalizer"]
         normalizer = Normalizer(
-            offset=np.array(norm_doc["offset"], dtype=np.float64),
-            scale=np.array(norm_doc["scale"], dtype=np.float64),
+            offset=_block(norm_doc, "offset", (CHANNEL_DIM,)),
+            scale=_block(norm_doc, "scale", (CHANNEL_DIM,)),
         )
         # each block is checked before anything is stacked, so a file that
         # declares a huge hidden_dim allocates nothing of that size
@@ -251,10 +252,16 @@ def model_from_dict(doc: dict) -> ModelArtifact:
     )
 
 
-def _block(params: dict, name: str, shape: tuple) -> np.ndarray:
-    arr = np.array(params[name], dtype=np.float64)
+def _block(section: dict, name: str, shape: tuple) -> np.ndarray:
+    values = section[name]
+    arr = np.array(values, dtype=np.float64)
     if arr.shape != shape:
         raise ModelShapeError(f"{name} has shape {arr.shape}, expected {shape}")
+    # np.array reads true as 1.0 and "0.5" as 0.5; like json_float, refuse both
+    flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
+    others = sorted(t.__name__ for t in set(map(type, flat)) - {int, float})
+    if others:
+        raise ValueError(f"{name} must hold only numbers, not {' or '.join(others)}")
     return arr
 
 

@@ -23,6 +23,9 @@ CHANNELS = ("heave", "pitch", "roll")
 
 TWO_PI = 2.0 * math.pi
 
+# Each component is built as a Python object, so a spec's cost grows with this.
+MAX_COMPONENTS_PER_CHANNEL = 1000
+
 
 @dataclass(frozen=True)
 class SineComponent:
@@ -167,8 +170,8 @@ class SeaStateSpec:
     components_per_channel: int = 4
 
     def __post_init__(self):
-        if self.components_per_channel < 1:
-            raise ValueError("components_per_channel must be >= 1")
+        if not 1 <= self.components_per_channel <= MAX_COMPONENTS_PER_CHANNEL:
+            raise ValueError(f"components_per_channel must be in 1..{MAX_COMPONENTS_PER_CHANNEL}")
 
 
 def sea_state5_spec() -> SeaStateSpec:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from deckmotion import lstm
 from deckmotion import restperiod as rp
 from deckmotion import seriesdata as sd
 from deckmotion import wavegen as wg
@@ -107,3 +108,10 @@ def cell_forward(params, x, state):
     o = _sigmoid(z[3 * H :])
     c = f * state.c + i * g
     return LstmState(h=o * np.tanh(c), c=c)
+
+
+def forward_window(params, window):
+    """Predict one (lookback, 3) window, run from a zero state; returns the
+    joint (3,) prediction. A helper for the window tests, not an oracle: it
+    is lstm.predict_windows on a batch of one."""
+    return lstm.predict_windows(params, np.asarray(window)[None])[0]

@@ -87,6 +87,28 @@ def test_every_flag_documented():
             assert action.help, f"{name}: flag {action.option_strings} lacks help text"
 
 
+def test_cli_flag_census():
+    """Every flag of every subcommand: a new knob is a deliberate edit here."""
+    forecast = {"--quiet", "--model", "--data", "--start-index", "--renormalize"}
+    expected = {
+        "simulate": {"--quiet", "--model", "--model-file", "--spec-file", "--n", "--dt", "--seed",
+                     "--out", "--save-model", "--random-phases"},
+        "train": {"--quiet", "--data", "--lookback", "--split", "--hidden", "--epochs", "--batch",
+                  "--lr", "--optimizer", "--seed", "--out", "--report"},
+        "predict": forecast | {"--out"},
+        "evaluate": forecast | {"--out-csv", "--out-json", "--svg"},
+        "rest": forecast | {"--pitch-max", "--roll-max", "--heave-rate-max", "--min-duration",
+                            "--out", "--out-json"},
+        "plot": {"--quiet", "--data", "--out"},
+    }
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    found = {
+        name: {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.items()
+    }
+    assert found == expected
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--model", "nonsense", "--out", tmp_path / "x.csv")
@@ -94,6 +116,12 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+    # the time step comes from the CSV's t column, and the shuffle seed is --seed
+    for argv in (["plot", "--data", "s.csv", "--out", "p.svg", "--dt", "0.1"],
+                 ["train", "--data", "s.csv", "--out", "m.json", "--shuffle-seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -567,6 +595,9 @@ def _example_doc(doc, path, value):
 @example(("--model", DEEP_JSON))
 # an integer beyond float64 in a weight and in a wave-model number
 @example(("--model", _example_doc(_MODEL_DOC, ("params", "b_i", 0), 10**400)))
+# a string in a weight block, booleans and strings in the normalizer
+@example(("--model", _example_doc(_MODEL_DOC, ("params", "b_i", 0), "0.5")))
+@example(("--model", _example_doc(_MODEL_DOC, ("normalizer", "scale"), ["1.0", True, 1])))
 @example(("--model-file", _example_doc(_WAVE_DOC, ("channels", "roll", 0, "phase"), 10**400)))
 # omega * t overflows float64; two finite amplitudes sum beyond it
 @example(("--model-file", _example_doc(_WAVE_DOC, ("channels", "roll", 0, "omega"), 1e308)))

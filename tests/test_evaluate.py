@@ -167,10 +167,12 @@ def test_mae_translation():
 
 
 def test_forecast_result_validation():
-    with pytest.raises(ValueError):
-        ev.ForecastResult(
-            target_indices=np.array([3, 2]), predictions=np.zeros((2, 3)), truths=np.zeros((2, 3))
-        )
+    # decreasing, or increasing with a gap
+    for indices in ([3, 2], [4, 6]):
+        with pytest.raises(ValueError):
+            ev.ForecastResult(
+                target_indices=np.array(indices), predictions=np.zeros((2, 3)), truths=np.zeros((2, 3))
+            )
     with pytest.raises(ValueError):
         ev.ForecastResult(
             target_indices=np.array([], dtype=int),
@@ -218,8 +220,7 @@ def test_forecast_to_series(knox_series):
     out = ev.forecast_to_series(result, knox_series.dt, knox_series.t0)
     assert len(out) == 1900
     assert out.t0 == pytest.approx(10.0)
-    gap = ev.ForecastResult(
-        target_indices=np.array([1, 3]), predictions=np.zeros((2, 3)), truths=np.zeros((2, 3))
-    )
     with pytest.raises(ValueError):
-        ev.forecast_to_series(gap, 0.1)
+        ev.ForecastResult(
+            target_indices=np.array([1, 3]), predictions=np.zeros((2, 3)), truths=np.zeros((2, 3))
+        )

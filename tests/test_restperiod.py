@@ -117,13 +117,12 @@ def test_forecast_intervals_match_oracle_with_offset():
 
 
 def test_forecast_requires_contiguous_indices():
-    result = ev.ForecastResult(
-        target_indices=np.array([4, 6]),
-        predictions=np.zeros((2, 3)),
-        truths=np.zeros((2, 3)),
-    )
     with pytest.raises(ValueError):
-        rp.rest_periods_from_forecast(result, 0.1, rp.RestCriteria(pitch_max=1, roll_max=1))
+        ev.ForecastResult(
+            target_indices=np.array([4, 6]),
+            predictions=np.zeros((2, 3)),
+            truths=np.zeros((2, 3)),
+        )
 
 
 def test_single_sample_series():

@@ -197,6 +197,11 @@ def test_load_missing_key(artifact, tmp_path):
     for field, value in (("lookback", 10.9), ("hidden_dim", True)):
         docs.append(tr.model_to_dict(artifact))
         docs[-1]["config"][field] = value
+    # np.array would read "0.5" as 0.5 and true as 1.0
+    for section, name, values in (("params", "b_i", ["0.5"] + [0.0] * 7),
+                                  ("normalizer", "scale", ["1.0", True, 1])):
+        docs.append(tr.model_to_dict(artifact))
+        docs[-1][section][name] = values
     for doc in docs:
         path = tmp_path / "missing.json"
         path.write_text(json.dumps(doc))

@@ -216,10 +216,12 @@ def test_malformed_documents_rejected():
         wg.wave_model_from_dict({"label": "x"})
     with pytest.raises(ValueError):
         wg.sea_state_spec_from_dict({"channels": {}})
-    fractional = wg.sea_state_spec_to_dict(wg.sea_state5_spec())
-    fractional["components_per_channel"] = 2.7
-    with pytest.raises(ValueError, match="components_per_channel"):
-        wg.sea_state_spec_from_dict(fractional)
+    # not integral, or so many components that building them would exhaust memory
+    for count in (2.7, 10**8):
+        doc = wg.sea_state_spec_to_dict(wg.sea_state5_spec())
+        doc["components_per_channel"] = count
+        with pytest.raises(ValueError, match="components_per_channel"):
+            wg.sea_state_spec_from_dict(doc)
     # float fields take numbers only, not booleans, numeric strings or
     # integers beyond float64
     for field, value in (("amplitude", True), ("omega", "0.9"), ("phase", 10**400)):
