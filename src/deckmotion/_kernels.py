@@ -20,10 +20,10 @@ CPU count capped at the block count. numpy releases the interpreter lock
 inside each GEMM and ufunc, so the threads overlap. Three rules keep this
 exact and lean:
   - _recur allocates nothing per step, and the calling thread allocates
-    every buffer the helpers write: each worker's scratch and the (B, H)
-    result. A helper thread that allocates grows a malloc arena of its
-    own: with each helper allocating its own scratch, the pipeline-sea5
-    benchmark's peak RSS was 64.4 MB, against 61.2 MB.
+    every buffer the helpers use: each worker's scratch, the fused gate
+    weights and the (B, H) result. A helper thread that allocates grows a
+    malloc arena of its own: with each helper allocating its own scratch,
+    the pipeline-sea5 benchmark's peak RSS was 64.4 MB, against 61.2 MB.
   - Each helper runs in a copy of the caller's contextvars context,
     because that is where np.errstate lives: a thread started without it
     reports the overflow that saturated gates legitimately raise.
@@ -33,14 +33,29 @@ A batch of at most PREDICT_ROWS windows (training, single-window
 forecasts) starts no thread.
 
 Array conventions shared by all kernels (everything float64):
-  x      (L, B, D)  time-major window batch
-  wx     (4H, D)    stacked input weights, gate blocks ordered i, f, g, o
-  wh     (4H, H)    stacked recurrent weights, same order
-  b      (4H,)      stacked gate biases
-  w_out  (K, H)     linear output head
+  x      (L, B, D)     time-major window batch
+  wx     (4H, D)       stacked input weights, gate blocks ordered i, f, g, o
+  wh     (4H, H)       stacked recurrent weights, same order
+  b      (4H,)         stacked gate biases
+  w_out  (K, H)        linear output head
   b_out  (K,)
-Gate math per step: i = sigmoid, f = sigmoid, g = tanh (cell candidate),
-o = sigmoid; c' = f*c + i*g; h' = o*tanh(c').
+  acts   (L, 7, B, H)  lstm_forward's activation cache: acts[t] holds the
+                       slots i, f, o, g, c, tanh(c), h of step t
+Gate math per step, with z = x_t wx^T + h wh^T + b in model order:
+i = sigmoid, f = sigmoid, g = tanh (cell candidate), o = sigmoid, where
+sigmoid(z) = 1 / (1 + exp(-z)); c' = f*c + i*g; h' = o*tanh(c').
+
+The recurrence computes this through fused gate weights, built once per
+call by _gate_weights: the gate blocks reordered i, f, o, g, and the rows
+of the three sigmoid gates negated. The GEMMs then yield -z for i, f and o
+directly, so one exp, one add and one divide over a (3, B, H) view give
+all three sigmoids, and a step makes 13 numpy calls. The values are
+bit-identical to the model-order expressions: IEEE negation is exact, and
+every rounding is sign-symmetric, so each product, sum and bias add of -z
+is the negation of that of z, and exp sees the bits of -z that the
+expression computes. A slot-major cache keeps one step's i, f and o in
+one contiguous block, the output of that fused sigmoid. Model files and
+lstm_backward's gradients keep the model order.
 """
 
 from __future__ import annotations
@@ -59,44 +74,57 @@ NUMBA_ENABLED = False
 PREDICT_ROWS = 256
 
 
-def _sigmoid(z, out):
-    """out = 1 / (1 + exp(-z)), in the order of that expression, in place."""
-    np.negative(z, out)
-    np.exp(out, out)
-    out += 1.0
-    np.divide(1.0, out, out)
-
-
-def _recur(wx, wh, b, x, acts, z):
-    """Run the recurrence over x from a zero state; return the last h (B, H).
-
-    acts is a (7, S, B, H) array: step t writes i, f, g, o, c, tanh(c) and
-    h into acts[:, t % S], so S = L keeps every step for lstm_backward and
-    S = 1 keeps only the latest. The zero state is written into the slot
-    step L - 1 fills, which with S = 1 is the one every step overwrites in
-    place. z is (2, B, 4H) scratch for the gate pre-activations. A step
-    allocates nothing, and evaluates the same operations in the same order
-    as the gate math in the module docstring, so the result is bit-identical
-    to the expressions written out. Outputs are passed positionally, which
-    costs less than out= in the many tiny calls of a B=1 forecast.
+def _gate_weights(wx, wh, b):
+    """The fused gate weights _recur takes: (wx^T, wh^T, b), with the gate
+    blocks ordered i, f, o, g and the rows of i, f and o negated (see the
+    module docstring). Built with slices and np.negative: at H=64 that
+    takes 23 us, against 64 us by fancy indexing, and a B=1 forecast of
+    under 1 ms notices the difference.
     """
     H = wh.shape[1]
-    wxt, wht = wx.T, wh.T
+    fused = []
+    for w in (wx, wh, b):
+        v = np.empty_like(w)
+        np.negative(w[: 2 * H], v[: 2 * H])
+        np.negative(w[3 * H :], v[2 * H : 3 * H])
+        v[3 * H :] = w[2 * H : 3 * H]
+        fused.append(v)
+    return fused[0].T, fused[1].T, fused[2]
+
+
+def _recur(wxt, wht, b, x, acts, z):
+    """Run the recurrence over x from a zero state; return the last h (B, H).
+
+    wxt, wht and b are _gate_weights' output. acts is an (S, 7, B, H) array:
+    step t writes i, f, o, g, c, tanh(c) and h into acts[t % S], so S = L
+    keeps every step for lstm_backward and S = 1 keeps only the latest. The
+    zero state is written into the slot step L - 1 fills, which with S = 1
+    is the one every step overwrites in place. z is (2, B, 4H) scratch for
+    the gate pre-activations. A step allocates nothing, and evaluates the
+    gate math of the module docstring in the order written there, up to the
+    exact negations of the fused weights, so the result is bit-identical to
+    the expressions written out. Outputs are passed positionally, which
+    costs less than out= in the many tiny calls of a B=1 forecast.
+    """
+    B, H = acts.shape[2:]
     zx, zh = z
-    slots = [tuple(slot) for slot in acts.swapaxes(0, 1)]
-    c, h = slots[-1][4], slots[-1][6]
+    # -z of the sigmoid gates as (3, B, H), matching a slot's i, f, o
+    zs = zx[:, : 3 * H].reshape(B, 3, H).swapaxes(0, 1)
+    zg = zx[:, 3 * H :]
+    slots = [(slot[:3], *slot) for slot in acts]
+    c, h = acts[-1, 4], acts[-1, 6]
     c[...] = 0.0
     h[...] = 0.0
     for t in range(x.shape[0]):
-        i, f, g, o, c_t, tc, h_t = slots[t % len(slots)]
+        ifo, i, f, o, g, c_t, tc, h_t = slots[t % len(slots)]
         np.dot(x[t], wxt, zx)
         np.dot(h, wht, zh)
         zx += zh
         zx += b
-        _sigmoid(zx[:, :H], i)
-        _sigmoid(zx[:, H : 2 * H], f)
-        np.tanh(zx[:, 2 * H : 3 * H], g)
-        _sigmoid(zx[:, 3 * H :], o)
+        np.exp(zs, ifo)
+        ifo += 1.0
+        np.divide(1.0, ifo, ifo)
+        np.tanh(zg, g)
         np.multiply(f, c, c_t)
         np.multiply(i, g, tc)
         c_t += tc
@@ -108,31 +136,33 @@ def _recur(wx, wh, b, x, acts, z):
 
 def _scratch(rows, H, steps=1):
     """The acts and z buffers _recur needs for a block of at most rows windows."""
-    return np.empty((7, steps, rows, H)), np.empty((2, rows, 4 * H))
+    return np.empty((steps, 7, rows, H)), np.empty((2, rows, 4 * H))
 
 
 def lstm_forward(wx, wh, b, w_out, b_out, x):
     """Forward pass over a window batch, keeping per-step activations.
 
-    Returns (y, acts): the (B, K) head output and the (7, L, B, H) stack of
-    i, f, g, o, c, tanh(c) and h at every step, which lstm_backward takes.
+    Returns (y, acts): the (B, K) head output and the (L, 7, B, H) cache
+    whose acts[t] holds i, f, o, g, c, tanh(c) and h of step t, which
+    lstm_backward takes.
     """
     L, B, _ = x.shape
     acts, z = _scratch(B, wh.shape[1], L)
-    h = _recur(wx, wh, b, x, acts, z)
+    h = _recur(*_gate_weights(wx, wh, b), x, acts, z)
     return np.dot(h, w_out.T) + b_out, acts
 
 
 def lstm_backward(wx, wh, w_out, x, acts, dy):
     """Backpropagation through time for one batch.
 
-    acts is the (7, L, B, H) activation stack lstm_forward returned, and dy
+    acts is the (L, 7, B, H) activation cache lstm_forward returned, and dy
     is d(loss)/d(head output), shape (B, K). Returns stacked gradients
-    (d_wx, d_wh, d_b, d_wout, d_bout) matching the parameter layout.
+    (d_wx, d_wh, d_b, d_wout, d_bout) matching the parameter layout, whose
+    gate blocks are in model order i, f, g, o.
     """
     L, B, _ = x.shape
     H = wh.shape[1]
-    c, h = acts[4], acts[6]
+    c, h = acts[:, 4], acts[:, 6]
     d_wx = np.zeros_like(wx)
     d_wh = np.zeros_like(wh)
     d_b = np.zeros(4 * H)
@@ -142,7 +172,7 @@ def lstm_backward(wx, wh, w_out, x, acts, dy):
     dc = np.zeros((B, H))
     dz = np.empty((B, 4 * H))
     for t in range(L - 1, -1, -1):
-        i, f, g, o, _, tct, _ = acts[:, t]
+        i, f, o, g, _, tct, _ = acts[t]
         do = dh * tct
         dc = dc + dh * o * (1.0 - tct * tct)
         di = dc * g
@@ -187,13 +217,14 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
     # allocated here, not in the helpers, which would each grow a malloc
     # arena of their own (see the module docstring)
     h = np.empty((B, H))
+    weights = _gate_weights(wx, wh, b)
     scratch = [_scratch(-(-B // n), H) for _ in range(workers)]
 
     def run(w):
         acts, z = scratch[w]
         for k in range(w, n, workers):
             lo, hi = bounds[k], bounds[k + 1]
-            h[lo:hi] = _recur(wx, wh, b, x[:, lo:hi], acts[:, :, : hi - lo], z[:, : hi - lo])
+            h[lo:hi] = _recur(*weights, x[:, lo:hi], acts[:, :, : hi - lo], z[:, : hi - lo])
 
     errors = []
 

@@ -209,11 +209,12 @@ def apply_normalizer(norm: Normalizer, series: MotionSeries) -> MotionSeries:
 
 def series_to_csv(series: MotionSeries) -> str:
     """CSV text with header t,heave,pitch,roll at full float64 precision."""
-    times = series.times
+    # Python floats from tolist() format faster than numpy scalars, same text
     lines = [CSV_HEADER]
-    for i in range(len(series)):
-        h, p, r = (float(v) for v in series.samples[i])
-        lines.append(f"{float(times[i])!r},{h!r},{p!r},{r!r}")
+    lines.extend(
+        f"{t!r},{h!r},{p!r},{r!r}"
+        for t, (h, p, r) in zip(series.times.tolist(), series.samples.tolist())
+    )
     return "\n".join(lines) + "\n"
 
 

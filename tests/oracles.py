@@ -115,3 +115,32 @@ def forward_window(params, window):
     joint (3,) prediction. A helper for the window tests, not an oracle: it
     is lstm.predict_windows on a batch of one."""
     return lstm.predict_windows(params, np.asarray(window)[None])[0]
+
+
+def recurrence_oracle(wx, wh, b, w_out, b_out, x):
+    """The batched recurrence written out in model order, every step kept:
+    the bit-level oracle for _kernels.lstm_forward.
+
+    x is (L, B, D). Returns (y, h, stacks): the (B, K) head output, the last
+    (B, H) hidden state, and a dict of (L, B, H) arrays named i, f, g, o, c,
+    tanh_c and h. Each GEMM, add and ufunc is the one the gate math in the
+    _kernels module docstring names, in the same order.
+    """
+    L, B, _ = x.shape
+    H = wh.shape[1]
+    names = ("i", "f", "g", "o", "c", "tanh_c", "h")
+    stacks = {name: np.empty((L, B, H)) for name in names}
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    for t in range(L):
+        z = np.dot(x[t], wx.T) + np.dot(h, wh.T) + b
+        i = _sigmoid(z[:, :H])
+        f = _sigmoid(z[:, H : 2 * H])
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = _sigmoid(z[:, 3 * H :])
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        for name, value in zip(names, (i, f, g, o, c, tanh_c, h)):
+            stacks[name][t] = value
+    return np.dot(h, w_out.T) + b_out, h, stacks

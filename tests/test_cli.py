@@ -513,10 +513,10 @@ def test_numeric_flags_give_an_exit_code(pipeline, command):
 
 
 # Loader inputs: raw bytes or text, any JSON document, or a valid document
-# with one value replaced or one key deleted. Integers stay small, or past
-# every size limit, so that no draw asks for gigabytes of memory.
+# with one value replaced or one key deleted. Integers may take any value:
+# every size a loader reads is bounded before anything is allocated.
 JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=6)
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from([2**63, 10**400, -(10**400)])
 )
 JSON_VALUES = st.recursive(

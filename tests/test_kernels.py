@@ -1,7 +1,9 @@
 """The LSTM kernels: input layout, one recurrence shared by the cached and
-uncached forward passes, and the names the benchmark harness reads."""
+uncached forward passes, bit-identity with the model-order recurrence, and
+the names the benchmark harness reads."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,11 @@ import pytest
 from deckmotion import _kernels as K
 from deckmotion import evaluate, lstm, restperiod, seriesdata, svgplot, training, wavegen
 from deckmotion.lstm import LstmConfig, init_params
+from oracles import recurrence_oracle
+
+
+# acts[t] of lstm_forward's cache holds these, in this order
+SLOTS = ("i", "f", "o", "g", "c", "tanh_c", "h")
 
 
 def _random_case(seed, hidden=6, lookback=7, batch=4):
@@ -40,6 +47,52 @@ def test_forward_and_predict_consistent():
         assert np.array_equal(y_full, K.lstm_predict(*args)), batch
         assert acts.shape == (7, 7, batch, 8)
     assert lstm.predict_windows(params, np.zeros((0, 7, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("hidden", [3, 8, 64])
+@pytest.mark.parametrize("saturated", [False, True])
+def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
+    # the kernels negate and reorder the gate weights and run one sigmoid
+    # over the i, f, o slots; every value must still equal the model-order
+    # expressions bit for bit, including gates that saturate at 0 and 1
+    lookback = 5  # not 7, so that an (L, 7, B, H) cache is told from (7, L, B, H)
+    for batch in (1, 2, 5, 32, 255, 256, 257, 1960):
+        params, x = _random_case(hidden + batch, hidden=hidden, lookback=lookback, batch=batch)
+        if saturated:
+            x = np.where(x < 0.0, -1e4, 1e4)
+        args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+        with np.errstate(over="ignore"):
+            y, acts = K.lstm_forward(*args)
+            y_ref, h_ref, stacks = recurrence_oracle(*args)
+            y_pred = K.lstm_predict(*args)
+            # the uncached pass, in one slot that every step overwrites
+            weights = K._gate_weights(params.wx, params.wh, params.b)
+            h = K._recur(*weights, x, *K._scratch(batch, hidden))
+        assert acts.shape == (lookback, 7, batch, hidden)
+        assert np.array_equal(y, y_ref), batch
+        assert np.array_equal(y_pred, y_ref), batch
+        assert np.array_equal(h, h_ref), batch
+        for k, name in enumerate(SLOTS):
+            assert np.array_equal(acts[:, k], stacks[name]), (batch, name)
+
+
+@pytest.mark.parametrize("batch", [1, 245])
+def test_recurrence_memory_does_not_grow_with_steps(batch):
+    # _recur allocates nothing per step that outlives the step, so its
+    # traced peak is the same over 4 steps and over 40
+    peaks = []
+    for lookback in (4, 40):
+        params, x = _random_case(2, hidden=64, lookback=lookback, batch=batch)
+        weights = K._gate_weights(params.wx, params.wh, params.b)
+        acts, z = K._scratch(batch, 64)
+        K._recur(*weights, x, acts, z)  # warm numpy's first-call caches
+        tracemalloc.start()
+        try:
+            K._recur(*weights, x, acts, z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1], peaks
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
