@@ -5,9 +5,11 @@ LSTM), predict (one-step-ahead forecast as a series CSV), evaluate (error
 curves, summary, optional SVG plots), rest (landing-window intervals from
 forecasts), plot (series CSV to SVG).
 
-All randomness flows from explicit --seed flags, outputs carry no
-timestamps, and every command writes its files only after all computation
-succeeded, so identical invocations produce byte-identical outputs.
+Each command only computes: it returns its outputs as (path, text) pairs
+and a one-line message. main writes the outputs, and only after the command
+succeeded, then prints the message to stderr unless --quiet is set. All
+randomness flows from explicit --seed flags and outputs carry no timestamps,
+so identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 input/output failure, 2 usage error, 3 training
 divergence.
@@ -18,6 +20,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from dataclasses import asdict, replace
 
 from . import evaluate as ev
 from . import restperiod as rp
@@ -28,17 +32,19 @@ from . import wavegen as wg
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_DIVERGED = 3
-
-
-class CliError(Exception):
-    """User-facing failure; message printed to stderr, exit code 1."""
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     """Write (path, text) pairs atomically; on failure remove everything
-    this invocation already finalized so no partial results survive."""
+    this invocation already finalized so no partial results survive. Two
+    outputs that name one file are refused before anything is written."""
+    seen = set()
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs would write the same file {path}")
+        seen.add(real)
     done = []
     try:
         for path, text in outputs:
@@ -59,52 +65,49 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
         raise
 
 
-def _info(args, message: str) -> None:
-    if not args.quiet:
-        print(message, file=sys.stderr)
-
-
 def _read(what: str, load, path):
     """load(path), with any failure to read or parse the file reported as a
-    CliError that names what the file is and its path."""
+    ValueError that names what the file is and its path."""
     try:
         return load(path)
     except (OSError, ValueError, tr.ModelFileError) as exc:
-        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _forecast(args) -> tuple[sd.MotionSeries, ev.ForecastResult]:
     """Load --model and --data and forecast the series one step ahead."""
     artifact = _read("model", tr.load_model, args.model)
     series = _read("series", sd.load_series_csv, args.data)
-    normalizer = sd.fit_normalizer(series, len(series)) if args.renormalize else None
-    result = ev.predict_series(artifact, series, start_index=args.start_index, normalizer=normalizer)
-    return series, result
+    if args.renormalize:
+        artifact = replace(artifact, normalizer=sd.fit_normalizer(series, len(series)))
+    return series, ev.predict_series(artifact, series, start_index=args.start_index)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
+    if args.model != "random":
+        for flag, given in (("--spec-file", args.spec_file), ("--random-phases", args.random_phases)):
+            if given:
+                raise ValueError(f"{flag} applies only to --model random")
     if args.model_file:
         model = _read("wave model", wg.load_wave_model, args.model_file)
-    elif args.model == "knox":
-        model = wg.knox_training_model()
     elif args.model == "seastate5":
         model = wg.sea_state5_reference_model()
-    else:
+    elif args.model == "random":
         if args.spec_file:
             spec = _read("spec", wg.load_sea_state_spec, args.spec_file)
         else:
             spec = wg.sea_state5_spec()
         model = wg.random_sea_state_model(spec, args.seed, random_phases=args.random_phases)
+    else:
+        model = wg.knox_training_model()
     series = sd.sample_series(model, args.n, args.dt)
     outputs = [(args.out, sd.series_to_csv(series))]
     if args.save_model:
         outputs.append((args.save_model, wg.json_text(wg.wave_model_to_dict(model))))
-    _write_outputs(outputs)
-    _info(args, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={args.dt})")
-    return EXIT_OK
+    return outputs, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={args.dt})"
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args):
     series = _read("series", sd.load_series_csv, args.data)
     n = len(series)
     config = tr.TrainConfig(
@@ -124,31 +127,27 @@ def _cmd_train(args) -> int:
         f"shuffle_seed={args.seed};hidden={args.hidden};lookback={args.lookback};"
         f"epochs={args.epochs};batch={args.batch};lr={args.lr};optimizer={args.optimizer}"
     )
-    artifact, report = tr.train(
-        split, config, args.seed, normalizer=normalizer, provenance=provenance
-    )
+    start = time.perf_counter()
+    artifact, report = tr.train(split, config, args.seed, normalizer=normalizer)
+    seconds = time.perf_counter() - start
+    artifact = replace(artifact, provenance=provenance)
     outputs = [(args.out, wg.json_text(tr.model_to_dict(artifact)))]
     if args.report:
-        outputs.append((args.report, wg.json_text(report.to_dict())))
-    _write_outputs(outputs)
-    _info(
-        args,
+        outputs.append((args.report, wg.json_text(asdict(report))))
+    return outputs, (
         f"wrote {args.out}: train windows {len(split.train)}, test windows {len(split.test)}, "
         f"final train loss {report.epoch_losses[-1]:.6g}, test loss {report.final_test_loss:.6g}, "
-        f"{report.wall_time_seconds:.1f}s",
+        f"{seconds:.1f}s"
     )
-    return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args):
     series, result = _forecast(args)
     predicted = ev.forecast_to_series(result, series.dt, series.t0)
-    _write_outputs([(args.out, sd.series_to_csv(predicted))])
-    _info(args, f"wrote {args.out} ({len(result)} predictions)")
-    return EXIT_OK
+    return [(args.out, sd.series_to_csv(predicted))], f"wrote {args.out} ({len(result)} predictions)"
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args):
     series, result = _forecast(args)
     report = ev.error_report(result)
     outputs = [
@@ -175,13 +174,11 @@ def _cmd_evaluate(args) -> int:
         ]
         outputs.append((os.path.join(args.svg, "predictions.svg"), svgplot.render_panels(pred_panels)))
         outputs.append((os.path.join(args.svg, "errors.svg"), svgplot.render_panels(err_panels)))
-    _write_outputs(outputs)
     mae = ", ".join(f"{name} {report.mae[k]:.6g}" for k, name in enumerate(wg.CHANNELS))
-    _info(args, f"wrote {args.out_csv}, {args.out_json} ({len(result)} points; mae: {mae})")
-    return EXIT_OK
+    return outputs, f"wrote {args.out_csv}, {args.out_json} ({len(result)} points; mae: {mae})"
 
 
-def _cmd_rest(args) -> int:
+def _cmd_rest(args):
     series, result = _forecast(args)
     criteria = rp.RestCriteria(
         pitch_max=args.pitch_max,
@@ -193,21 +190,17 @@ def _cmd_rest(args) -> int:
     outputs = [(args.out, rp.intervals_to_csv(intervals))]
     if args.out_json:
         outputs.append((args.out_json, wg.json_text(rp.intervals_to_dicts(intervals))))
-    _write_outputs(outputs)
-    _info(args, f"wrote {args.out} ({len(intervals)} rest intervals)")
-    return EXIT_OK
+    return outputs, f"wrote {args.out} ({len(intervals)} rest intervals)"
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args):
     series = _read("series", sd.load_series_csv, args.data)
     t = series.times
     panels = [
         {"title": name, "x": t, "curves": [(name, series.samples[:, k])]}
         for k, name in enumerate(wg.CHANNELS)
     ]
-    _write_outputs([(args.out, svgplot.render_panels(panels))])
-    _info(args, f"wrote {args.out}")
-    return EXIT_OK
+    return [(args.out, svgplot.render_panels(panels))], f"wrote {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,13 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="sample a wave model to a series CSV")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    # default None, not "knox": argparse does not count a value identical to
+    # the default as given, so "--model knox --model-file f" would pass
+    source.add_argument(
         "--model",
         choices=("knox", "seastate5", "random"),
-        default="knox",
+        default=None,
         help="built-in model or a random sea-state draw (default knox)",
     )
-    p.add_argument("--model-file", default=None, help="sample a wave model JSON instead of --model")
+    source.add_argument("--model-file", default=None, help="sample a wave model JSON instead of --model")
     p.add_argument("--spec-file", default=None, help="JSON range spec for --model random (default: sea-state-5 ranges)")
     p.add_argument("--n", type=int, default=2000, help="number of samples (default 2000)")
     p.add_argument(
@@ -309,8 +305,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, ValueError) as exc:
+        outputs, message = args.func(args)
+        _write_outputs(outputs)
+    except ValueError as exc:
         print(f"deckmotion: error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except tr.TrainingDivergedError as exc:
@@ -322,11 +319,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. simulate --n 10**12
         print(f"deckmotion: error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-
-
-def entrypoint() -> None:
-    sys.exit(main())
+    if not args.quiet:
+        print(message, file=sys.stderr)
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lstm import predict_windows
-from .seriesdata import MotionSeries, Normalizer
+from .seriesdata import MotionSeries
 from .training import ModelArtifact
 from .wavegen import CHANNELS
 
@@ -61,7 +61,6 @@ def predict_series(
     artifact: ModelArtifact,
     series: MotionSeries,
     start_index: int | None = None,
-    normalizer: Normalizer | None = None,
 ) -> ForecastResult:
     """Predict sample j from the true samples j-lookback..j-1, for every
     j from start_index (default: lookback) to the series end.
@@ -71,10 +70,6 @@ def predict_series(
     per-channel RMS of samples 0..j-1 about the offset, so no prediction
     uses a sample at or after its target. A channel with r_j = 0 (no motion
     yet) falls back to the normalizer's stored scale.
-
-    normalizer overrides the artifact's stored normalizer (used by the
-    re-normalization CLI flag): it contributes its offset, and its scale only
-    in that fallback.
     """
     lookback = artifact.config.lookback
     if start_index is None:
@@ -86,7 +81,7 @@ def predict_series(
         raise ValueError(f"series length {n} is shorter than lookback + 1 = {lookback + 1}")
     if start_index >= n:
         raise ValueError(f"start_index {start_index} leaves no samples to predict (n={n})")
-    norm = normalizer if normalizer is not None else artifact.normalizer
+    norm = artifact.normalizer
 
     x = series.samples
     indices = np.arange(start_index, n, dtype=np.int64)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +76,7 @@ class TrainConfig:
 class TrainReport:
     epoch_losses: list[float]
     final_test_loss: float
-    wall_time_seconds: float
     config: TrainConfig
-
-    def to_dict(self) -> dict:
-        """The report document, without the wall time, so reruns write the same bytes."""
-        return {
-            "epoch_losses": self.epoch_losses,
-            "final_test_loss": self.final_test_loss,
-            "config": asdict(self.config),
-        }
 
 
 @dataclass
@@ -134,7 +124,6 @@ def train(
     config: TrainConfig,
     seed: int,
     normalizer: Normalizer | None = None,
-    provenance: str = "",
 ) -> tuple[ModelArtifact, TrainReport]:
     """Train on the split's (already normalized) train windows.
 
@@ -148,7 +137,6 @@ def train(
         raise ValueError(
             f"split lookback {split.train.lookback} != config lookback {config.lookback}"
         )
-    start = time.perf_counter()
     lstm_config = LstmConfig(hidden_dim=config.hidden_dim, lookback=config.lookback)
     params = init_params(lstm_config, seed)
     optimizer = _make_optimizer(config, params)
@@ -183,12 +171,10 @@ def train(
         config=lstm_config,
         params=params,
         normalizer=normalizer if normalizer is not None else Normalizer(),
-        provenance=provenance,
     )
     report = TrainReport(
         epoch_losses=epoch_losses,
         final_test_loss=final_test_loss,
-        wall_time_seconds=time.perf_counter() - start,
         config=config,
     )
     return artifact, report

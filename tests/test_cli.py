@@ -1,5 +1,6 @@
 """CLI pipelines: flags, file formats, exit codes, reproducibility."""
 
+import importlib
 import json
 import math
 import os
@@ -75,6 +76,34 @@ def test_simulate_reads_wave_model_file(tmp_path):
     assert run("simulate", "--model-file", model_path, "--n", 100, "--out", out_file, "--quiet") == 0
     assert run("simulate", "--model", "seastate5", "--n", 100, "--out", out_builtin, "--quiet") == 0
     assert out_file.read_bytes() == out_builtin.read_bytes()
+
+
+def test_simulate_conflicting_model_flags(tmp_path, capsys):
+    wave = tmp_path / "wave.json"
+    wave.write_text(wg.json_text(wg.wave_model_to_dict(wg.knox_training_model())))
+    out = tmp_path / "series.csv"
+    # "knox" too: argparse does not see a flag whose value is its default
+    for model in ("knox", "seastate5", "random"):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--model-file", wave, "--model", model, "--out", out, "--quiet")
+        assert exc.value.code == 2
+    for source in ([], ["--model", "knox"], ["--model", "seastate5"], ["--model-file", wave]):
+        for flag in (["--spec-file", "nonexistent.json"], ["--random-phases"]):
+            assert run("simulate", *source, *flag, "--out", out, "--quiet") == 1
+            assert f"{flag[0]} applies only to --model random" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_console_scripts_resolve():
+    """Every [project.scripts] target names a callable, so a rename in the
+    code cannot break the installed command unnoticed."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(cli.__file__).parents[2] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def test_every_flag_documented():
@@ -286,6 +315,52 @@ def test_renormalize_flag(pipeline, tmp_path):
                "--out-csv", tmp_path / "b.csv", "--out-json", b, "--quiet") == 0
     # statistics differ (whole series vs training segment), so must the errors
     assert json.loads(a.read_text()) != json.loads(b.read_text())
+
+
+def test_stderr_is_one_line_unless_quiet(pipeline, tmp_path, capsys):
+    root, series, model, _ = pipeline
+    forecast = ["--model", model, "--data", series]
+    commands = {
+        "simulate": ["--n", 50, "--out", tmp_path / "s.csv"],
+        "train": ["--data", series, "--lookback", 20, "--hidden", 4, "--epochs", 1,
+                  "--out", tmp_path / "m.json"],
+        "predict": [*forecast, "--out", tmp_path / "p.csv"],
+        "evaluate": [*forecast, "--out-csv", tmp_path / "e.csv", "--out-json", tmp_path / "e.json"],
+        "rest": [*forecast, "--pitch-max", 0.5, "--roll-max", 3.0, "--out", tmp_path / "i.csv"],
+        "plot": ["--data", series, "--out", tmp_path / "p.svg"],
+    }
+    assert set(commands) == set(cli.build_parser()._subparsers._group_actions[0].choices)
+    for name, argv in commands.items():
+        assert run(name, *argv) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("wrote ") and err.endswith("\n"), name
+        if name == "train":
+            assert err.endswith("s\n")
+        assert run(name, *argv, "--quiet") == 0
+        assert capsys.readouterr() == ("", ""), name
+
+
+def test_shared_output_path_exits_1(pipeline, tmp_path, monkeypatch, capsys):
+    """Two outputs naming one file would leave only the last one written."""
+    root, series, model, _ = pipeline
+    monkeypatch.chdir(tmp_path)
+    shared = tmp_path / "shared"
+    shared.write_bytes(b"kept")
+    forecast = ["--model", model, "--data", series]
+    commands = [
+        ["train", "--data", series, "--lookback", 20, "--hidden", 4, "--epochs", 1,
+         "--out", shared, "--report", shared],
+        ["simulate", "--n", 50, "--out", shared, "--save-model", shared],
+        ["evaluate", *forecast, "--out-csv", shared, "--out-json", shared],
+        ["rest", *forecast, "--pitch-max", 0.5, "--roll-max", 3.0, "--out", shared, "--out-json", shared],
+        ["simulate", "--n", 50, "--out", "shared", "--save-model", "./shared"],
+    ]
+    for argv in commands:
+        assert run(*argv, "--quiet") == 1
+        assert f"two outputs would write the same file {argv[-1]}" in capsys.readouterr().err
+        assert shared.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared"]
 
 
 def test_divergence_exits_3(tmp_path):
