@@ -27,14 +27,10 @@ from .seriesdata import (
     split_series,
 )
 from .training import (
-    MalformedModelFileError,
     ModelArtifact,
-    ModelFileError,
-    ModelShapeError,
     TrainConfig,
     TrainReport,
     TrainingDivergedError,
-    UnknownModelVersionError,
     load_model,
     save_model,
     train,

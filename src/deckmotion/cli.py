@@ -36,16 +36,17 @@ EXIT_DIVERGED = 3
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write (path, text) pairs atomically; on failure remove everything
-    this invocation already finalized so no partial results survive. Two
-    outputs that name one file are refused before anything is written."""
+    """Write (path, text) pairs atomically; on failure remove every file
+    this invocation made, finished outputs and the temporary file of the
+    write that failed, so no partial results survive. Two outputs that name
+    one file are refused before anything is written."""
     seen = set()
     for path, _ in outputs:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"two outputs would write the same file {path}")
         seen.add(real)
-    done = []
+    made = []
     try:
         for path, text in outputs:
             parent = os.path.dirname(path)
@@ -53,11 +54,12 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
                 os.makedirs(parent, exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as f:
+                made.append(tmp)
                 f.write(text)
             os.replace(tmp, path)
-            done.append(path)
+            made[-1] = path
     except OSError:
-        for path in done:
+        for path in made:
             try:
                 os.remove(path)
             except OSError:
@@ -67,11 +69,14 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
 
 def _read(what: str, load, path):
     """load(path), with any failure to read or parse the file reported as a
-    ValueError that names what the file is and its path."""
+    ValueError that names what the file is and its path. The loaders raise
+    ValueError without the path, so this is the one place that names it."""
     try:
         return load(path)
-    except (OSError, ValueError, tr.ModelFileError) as exc:
-        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # an OSError's text repeats the path; its strerror does not
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ValueError(f"cannot read {what} {path}: {reason}") from exc
 
 
 def _forecast(args) -> tuple[sd.MotionSeries, ev.ForecastResult]:
@@ -101,7 +106,7 @@ def _cmd_simulate(args):
     else:
         model = wg.knox_training_model()
     series = sd.sample_series(model, args.n, args.dt)
-    outputs = [(args.out, sd.series_to_csv(series))]
+    outputs = [(args.out, sd.series_to_csv(series.times, series.samples))]
     if args.save_model:
         outputs.append((args.save_model, wg.json_text(wg.wave_model_to_dict(model))))
     return outputs, f"wrote {args.out} ({args.n} samples of model {model.label!r}, dt={args.dt})"
@@ -143,19 +148,19 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     series, result = _forecast(args)
-    predicted = ev.forecast_to_series(result, series.dt, series.t0)
-    return [(args.out, sd.series_to_csv(predicted))], f"wrote {args.out} ({len(result)} predictions)"
+    text = sd.series_to_csv(series.times[result.target_indices], result.predictions)
+    return [(args.out, text)], f"wrote {args.out} ({len(result)} predictions)"
 
 
 def _cmd_evaluate(args):
     series, result = _forecast(args)
     report = ev.error_report(result)
+    t = series.times[result.target_indices]
     outputs = [
-        (args.out_csv, ev.errors_to_csv(result, report, series.dt, series.t0)),
+        (args.out_csv, ev.errors_to_csv(result, report, t)),
         (args.out_json, wg.json_text(ev.summary_dict(report, len(result)))),
     ]
     if args.svg:
-        t = series.t0 + result.target_indices * series.dt
         pred_panels = [
             {
                 "title": f"{name}: truth vs prediction",

@@ -118,19 +118,14 @@ def summary_dict(report: ErrorReport, count: int) -> dict:
     return doc
 
 
-def errors_to_csv(result: ForecastResult, report: ErrorReport, dt: float, t0: float = 0.0) -> str:
-    """Long-format CSV: t,channel,truth,prediction,abs_error."""
+def errors_to_csv(result: ForecastResult, report: ErrorReport, times: np.ndarray) -> str:
+    """Long-format CSV: t,channel,truth,prediction,abs_error, where times[k]
+    is the time of the k-th target."""
     lines = ["t,channel,truth,prediction,abs_error"]
-    for k in range(len(result)):
-        t = t0 + int(result.target_indices[k]) * dt
+    for k, t in enumerate(times.tolist()):
         for j, name in enumerate(CHANNELS):
             lines.append(
                 f"{t!r},{name},{float(result.truths[k, j])!r},"
                 f"{float(result.predictions[k, j])!r},{float(report.abs_errors[k, j])!r}"
             )
     return "\n".join(lines) + "\n"
-
-
-def forecast_to_series(result: ForecastResult, dt: float, t0: float = 0.0) -> MotionSeries:
-    """Predicted channels as a MotionSeries."""
-    return MotionSeries(dt=dt, samples=result.predictions, t0=t0 + int(result.target_indices[0]) * dt)

@@ -207,14 +207,16 @@ def apply_normalizer(norm: Normalizer, series: MotionSeries) -> MotionSeries:
     return MotionSeries(dt=series.dt, samples=norm.apply(series.samples), t0=series.t0)
 
 
-def series_to_csv(series: MotionSeries) -> str:
-    """CSV text with header t,heave,pitch,roll at full float64 precision."""
+def series_to_csv(times: np.ndarray, samples: np.ndarray) -> str:
+    """CSV text with header t,heave,pitch,roll at full float64 precision, one
+    row per time and (heave, pitch, roll) sample; load_series_csv reads the
+    time step from the t column, so fewer than two rows raise ValueError."""
+    if len(times) < 2:
+        raise ValueError(f"the t column needs at least two rows to give the time step, got {len(times)}")
     # Python floats from tolist() format faster than numpy scalars, same text
     lines = [CSV_HEADER]
-    lines.extend(
-        f"{t!r},{h!r},{p!r},{r!r}"
-        for t, (h, p, r) in zip(series.times.tolist(), series.samples.tolist())
-    )
+    rows = zip(times.tolist(), samples.tolist(), strict=True)
+    lines.extend(f"{t!r},{h!r},{p!r},{r!r}" for t, (h, p, r) in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -224,20 +226,20 @@ def load_series_csv(path) -> MotionSeries:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0].replace(" ", "") != CSV_HEADER:
-        raise ValueError(f"{path}: expected header '{CSV_HEADER}'")
+        raise ValueError(f"expected header '{CSV_HEADER}'")
     try:
         rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed CSV row: {exc}") from exc
+        raise ValueError(f"malformed CSV row: {exc}") from exc
     if rows.size == 0:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError("no data rows")
     if rows.shape[1] != 4:
-        raise ValueError(f"{path}: expected 4 columns, got {rows.shape[1]}")
+        raise ValueError(f"expected 4 columns, got {rows.shape[1]}")
     times = rows[:, 0]
     if not np.all(np.isfinite(times)):
-        raise ValueError(f"{path}: t column must be finite")
+        raise ValueError("t column must be finite")
     if len(times) < 2:
-        raise ValueError(f"{path}: cannot infer dt from a single row")
+        raise ValueError("cannot infer dt from a single row")
     dt = float(times[1]) - float(times[0])
     series = MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
     atol = 1e-9 * max(1.0, float(np.abs(times).max()))
@@ -245,5 +247,5 @@ def load_series_csv(path) -> MotionSeries:
     with np.errstate(over="ignore"):
         uniform = np.allclose(times, series.times, rtol=0.0, atol=atol)
     if not uniform:
-        raise ValueError(f"{path}: t column is not uniformly spaced at dt={dt}")
+        raise ValueError(f"t column is not uniformly spaced at dt={dt}")
     return series

@@ -28,22 +28,6 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-class ModelFileError(Exception):
-    """Base class for model persistence failures."""
-
-
-class MalformedModelFileError(ModelFileError):
-    """File is not parseable as a model document."""
-
-
-class UnknownModelVersionError(ModelFileError):
-    """File parses but declares an unsupported format_version."""
-
-
-class ModelShapeError(ModelFileError):
-    """Stored weight matrices disagree with the stored config."""
-
-
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
@@ -200,13 +184,14 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
 
 
 def model_from_dict(doc: dict) -> ModelArtifact:
+    """The artifact a model document describes; anything else raises ValueError."""
     if not isinstance(doc, dict):
-        raise MalformedModelFileError("model document must be a JSON object")
+        raise ValueError("model document must be a JSON object")
     if "format_version" not in doc:
-        raise MalformedModelFileError("missing format_version")
+        raise ValueError("missing format_version")
     version = doc["format_version"]
     if version != FORMAT_VERSION:
-        raise UnknownModelVersionError(f"unknown format_version {version!r}")
+        raise ValueError(f"unknown format_version {version!r}")
     try:
         cfg = doc["config"]
         config = LstmConfig(
@@ -225,14 +210,11 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         # declares a huge hidden_dim allocates nothing of that size
         shapes = config.named_shapes()
         named = {name: _block(doc["params"], name, shape) for name, shape in shapes.items()}
+        params = LstmParams.from_named(named)  # refuses non-finite weights
         provenance = str(doc.get("provenance", ""))
     # OverflowError: an integer beyond float64, such as 1e400 written in full
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedModelFileError(f"malformed model document: {exc}") from exc
-    try:
-        params = LstmParams.from_named(named)
-    except ValueError as exc:  # e.g. non-finite weights smuggled through JSON
-        raise MalformedModelFileError(f"invalid weights: {exc}") from exc
+        raise ValueError(f"malformed model document: {exc}") from exc
     return ModelArtifact(
         config=config, params=params, normalizer=normalizer, provenance=provenance
     )
@@ -242,7 +224,7 @@ def _block(section: dict, name: str, shape: tuple) -> np.ndarray:
     values = section[name]
     arr = np.array(values, dtype=np.float64)
     if arr.shape != shape:
-        raise ModelShapeError(f"{name} has shape {arr.shape}, expected {shape}")
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
     # np.array reads true as 1.0 and "0.5" as 0.5; like json_float, refuse both
     flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
     others = sorted(t.__name__ for t in set(map(type, flat)) - {int, float})
@@ -257,8 +239,4 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 
 def load_model(path) -> ModelArtifact:
-    try:
-        doc = json_load(path)
-    except ValueError as exc:
-        raise MalformedModelFileError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(json_load(path))

@@ -308,6 +308,8 @@ def json_load(path):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ValueError(f"JSON nested too deeply to parse ({exc})") from exc
 

@@ -25,6 +25,10 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _csv(series):
+    return sd.series_to_csv(series.times, series.samples)
+
+
 def test_simulate_knox_row_count(tmp_path):
     out = tmp_path / "series.csv"
     assert run("simulate", "--model", "knox", "--n", 2000, "--dt", 0.1, "--out", out, "--quiet") == 0
@@ -154,19 +158,34 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
+    """A missing or malformed input file of any kind exits 1 with one error
+    line that names what the file is and its path, the path exactly once."""
     series = tmp_path / "series.csv"
     assert run("simulate", "--n", 50, "--out", series, "--quiet") == 0
+    out = tmp_path / "out"
     commands = [
-        ("series", ["train", "--data", missing, "--out", tmp_path / "m.json"]),
-        ("series", ["plot", "--data", missing, "--out", tmp_path / "p.svg"]),
-        ("model", ["predict", "--model", missing, "--data", series, "--out", tmp_path / "p.csv"]),
-        ("wave model", ["simulate", "--model-file", missing, "--out", tmp_path / "s.csv"]),
-        ("spec", ["simulate", "--model", "random", "--spec-file", missing, "--out", tmp_path / "s.csv"]),
+        ("series", lambda path: ["train", "--data", path, "--out", out / "m.json"]),
+        ("series", lambda path: ["plot", "--data", path, "--out", out / "p.svg"]),
+        ("model", lambda path: ["predict", "--model", path, "--data", series, "--out", out / "p.csv"]),
+        ("wave model", lambda path: ["simulate", "--model-file", path, "--out", out / "s.csv"]),
+        ("spec", lambda path: ["simulate", "--model", "random", "--spec-file", path, "--out", out / "s.csv"]),
     ]
+    missing = tmp_path / "missing"
+    malformed = tmp_path / "malformed"
     for what, argv in commands:
-        assert run(*argv, "--quiet") == 1
-        assert f"cannot read {what} {missing}" in capsys.readouterr().err
+        if what == "series":
+            malformed.write_text("time,x,y,z\n0,1,2,3\n0.1,1,2,3\n")
+            reason = "expected header 't,heave,pitch,roll'"
+        else:
+            malformed.write_text('{"channels": ')
+            reason = "not valid JSON: "
+        for path, expected in ((missing, "No such file or directory"), (malformed, reason)):
+            assert run(*argv(path), "--quiet") == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"deckmotion: error: cannot read {what} {path}: {expected}")
+            assert err.count("\n") == 1
+            assert err.count(str(path)) == 1
+    assert not out.exists()
 
 
 def test_bad_seed_exits_1(pipeline, tmp_path, capsys):
@@ -279,7 +298,7 @@ def test_evaluate_zero_error_on_memorizable_series(tmp_path):
     normalizer offset stores the constant: the memorizing test double."""
     samples = np.tile([[0.7, -0.2, 1.1]], (60, 1))
     series_path = tmp_path / "const.csv"
-    series_path.write_text(sd.series_to_csv(sd.MotionSeries(dt=0.5, samples=samples)))
+    series_path.write_text(_csv(sd.MotionSeries(dt=0.5, samples=samples)))
 
     H = 4
     artifact = tr.ModelArtifact(
@@ -366,7 +385,7 @@ def test_shared_output_path_exits_1(pipeline, tmp_path, monkeypatch, capsys):
 def test_divergence_exits_3(tmp_path):
     rng = np.random.default_rng(0)
     series_path = tmp_path / "series.csv"
-    series_path.write_text(sd.series_to_csv(sd.MotionSeries(dt=0.1, samples=rng.normal(size=(80, 3)))))
+    series_path.write_text(_csv(sd.MotionSeries(dt=0.1, samples=rng.normal(size=(80, 3)))))
     code = run(
         "train", "--data", series_path, "--lookback", "10", "--hidden", "4",
         "--epochs", "60", "--batch", "16", "--lr", "1e12", "--optimizer", "sgd",
@@ -404,7 +423,7 @@ def test_overflowing_forecast_exits_1(pipeline, tmp_path):
     samples = sd.sample_series(wg.sea_state5_reference_model(), 200, 0.25).samples.copy()
     samples[:, 2] *= 1e307
     huge = tmp_path / "huge.csv"
-    huge.write_text(sd.series_to_csv(sd.MotionSeries(dt=0.25, samples=samples)))
+    huge.write_text(_csv(sd.MotionSeries(dt=0.25, samples=samples)))
     out_json = tmp_path / "summary.json"
     code = run(
         "evaluate", "--model", model, "--data", huge,
@@ -480,6 +499,47 @@ def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
     )
     assert code == 1
     assert not out_csv.exists()
+    # nor does the temporary file of the write that failed survive
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked.json"]
+    assert run("plot", "--data", series, "--out", blocked, "--quiet") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked.json"]
+    assert not any(blocked.iterdir())
+
+
+def test_one_row_series_is_not_written(pipeline, tmp_path, capsys):
+    """A series CSV's t column gives the time step, so every reader needs
+    two rows; a command whose series would have one exits 1 and writes
+    nothing."""
+    root, series, model, _ = pipeline
+    out = tmp_path / "out"
+    commands = [
+        ["simulate", "--n", 1, "--out", out / "s.csv", "--save-model", out / "w.json"],
+        ["predict", "--model", model, "--data", series, "--start-index", 399, "--out", out / "p.csv"],
+    ]
+    for argv in commands:
+        assert run(*argv, "--quiet") == 1
+        assert "t column needs at least two rows to give the time step, got 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("predict", "--model", model, "--data", series, "--start-index", 398, "--out", out / "p.csv") == 0
+    assert len(sd.load_series_csv(out / "p.csv")) == 2
+
+
+def test_outputs_share_the_source_times(pipeline, tmp_path):
+    """predict and evaluate write each target's time as the source CSV
+    does, t0 + j*dt, to the last digit."""
+    root, series, model, _ = pipeline
+    sea5 = tmp_path / "sea5.csv"
+    assert run("simulate", "--model", "seastate5", "--n", 2000, "--dt", 0.1, "--out", sea5, "--quiet") == 0
+    forecast = ["--model", model, "--data", sea5, "--quiet"]
+    assert run("predict", *forecast, "--out", tmp_path / "p.csv") == 0
+    assert run("evaluate", *forecast, "--out-csv", tmp_path / "e.csv", "--out-json", tmp_path / "e.json") == 0
+
+    def times(name):
+        return [line.split(",")[0] for line in (tmp_path / name).read_text().splitlines()[1:]]
+
+    target_times = times("sea5.csv")[20:]
+    assert times("p.csv") == target_times
+    assert times("e.csv") == [t for t in target_times for _ in range(3)]
 
 
 def test_predict_with_default_blas_threads(pipeline, tmp_path):
@@ -652,7 +712,7 @@ _LOADER_DOCS = {
     "--model": _json_inputs(_MODEL_DOC),
     "--model-file": _json_inputs(_WAVE_DOC),
     "--spec-file": _json_inputs(wg.sea_state_spec_to_dict(wg.sea_state5_spec())),
-    "--data": _csv_inputs(sd.series_to_csv(sd.sample_series(wg.knox_training_model(), 30, 0.25))),
+    "--data": _csv_inputs(_csv(sd.sample_series(wg.knox_training_model(), 30, 0.25))),
 }
 LOADER_INPUTS = st.sampled_from(sorted(_LOADER_DOCS)).flatmap(
     lambda flag: st.tuples(

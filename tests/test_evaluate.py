@@ -197,7 +197,7 @@ def test_errors_csv_format(knox_series):
     artifact = zero_artifact()
     result = ev.predict_series(artifact, knox_series, 1990)
     report = ev.error_report(result)
-    text = ev.errors_to_csv(result, report, knox_series.dt)
+    text = ev.errors_to_csv(result, report, knox_series.times[result.target_indices])
     lines = text.strip().split("\n")
     assert lines[0] == "t,channel,truth,prediction,abs_error"
     assert len(lines) == 1 + 10 * 3
@@ -216,12 +216,15 @@ def test_summary_dict(knox_series):
         assert doc[name]["mae"] <= doc[name]["max_error"]
 
 
-def test_forecast_to_series(knox_series):
+def test_forecast_to_series(knox_series, tmp_path):
     artifact = zero_artifact()
     result = ev.predict_series(artifact, knox_series, 100)
-    out = ev.forecast_to_series(result, knox_series.dt, knox_series.t0)
+    path = tmp_path / "forecast.csv"
+    path.write_text(sd.series_to_csv(knox_series.times[result.target_indices], result.predictions))
+    out = sd.load_series_csv(path)
     assert len(out) == 1900
-    assert out.t0 == pytest.approx(10.0)
+    assert out.t0 == knox_series.times[100]
+    assert np.array_equal(out.samples, result.predictions)
     with pytest.raises(ValueError):
         ev.ForecastResult(
             target_indices=np.array([1, 3]), predictions=np.zeros((2, 3)), truths=np.zeros((2, 3))

@@ -195,7 +195,7 @@ def test_series_samples_immutable(knox_series):
 
 def test_csv_round_trip(tmp_path, knox_series):
     path = tmp_path / "series.csv"
-    path.write_text(sd.series_to_csv(knox_series))
+    path.write_text(sd.series_to_csv(knox_series.times, knox_series.samples))
     loaded = sd.load_series_csv(path)
     assert loaded.dt == knox_series.dt
     assert loaded.t0 == knox_series.t0
@@ -218,6 +218,12 @@ def test_csv_single_row_needs_dt(tmp_path):
     path.write_text("t,heave,pitch,roll\n0.0,1.0,2.0,3.0\n")
     with pytest.raises(ValueError):
         sd.load_series_csv(path)
+    # the reader takes dt from the t column, so the writer needs two rows too
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="two rows to give the time step"):
+            sd.series_to_csv(np.arange(n) * 0.1, np.zeros((n, 3)))
+    with pytest.raises(ValueError):
+        sd.series_to_csv(np.arange(3) * 0.1, np.zeros((2, 3)))
 
 
 def test_csv_rejects_nonuniform_times(tmp_path):
