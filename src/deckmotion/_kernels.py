@@ -21,16 +21,19 @@ inside each GEMM and ufunc, so the threads overlap. Three rules keep this
 exact and lean:
   - _recur allocates nothing per step, and the calling thread allocates
     every buffer the helpers use: each worker's scratch, the fused gate
-    weights and the (B, H) result. A helper thread that allocates grows a
-    malloc arena of its own: with each helper allocating its own scratch,
-    the pipeline-sea5 benchmark's peak RSS was 64.4 MB, against 61.2 MB.
+    weights with their bias block, which the workers only read, and the
+    (B, H) result. A helper thread that allocates grows a malloc arena of
+    its own: with each helper allocating its own scratch, the pipeline-sea5
+    benchmark's peak RSS was 64.4 MB, against 61.2 MB.
   - Each helper runs in a copy of the caller's contextvars context,
     because that is where np.errstate lives: a thread started without it
     reports the overflow that saturated gates legitimately raise.
   - An exception in a helper is re-raised by the caller once every thread
     has been joined.
 A batch of at most PREDICT_ROWS windows (training, single-window
-forecasts) starts no thread.
+forecasts) is one block: lstm_predict runs _recur and the head on it
+directly, with no CPU count, thread list or separate result array, which
+saves about 35 us of a B=1 call.
 
 Array conventions shared by all kernels (everything float64):
   x      (L, B, D)     time-major window batch
@@ -48,14 +51,34 @@ sigmoid(z) = 1 / (1 + exp(-z)); c' = f*c + i*g; h' = o*tanh(c').
 The recurrence computes this through fused gate weights, built once per
 call by _gate_weights: the gate blocks reordered i, f, o, g, and the rows
 of the three sigmoid gates negated. The GEMMs then yield -z for i, f and o
-directly, so one exp, one add and one divide over a (3, B, H) view give
-all three sigmoids, and a step makes 13 numpy calls. The values are
-bit-identical to the model-order expressions: IEEE negation is exact, and
-every rounding is sign-symmetric, so each product, sum and bias add of -z
-is the negation of that of z, and exp sees the bits of -z that the
-expression computes. A slot-major cache keeps one step's i, f and o in
-one contiguous block, the output of that fused sigmoid. Model files and
-lstm_backward's gradients keep the model order.
+directly, so one exp, one add and one reciprocal over a (3, B, H) view
+give all three sigmoids. The values are bit-identical to the model-order
+expressions: IEEE negation is exact, and every rounding is sign-symmetric,
+so each product, sum and bias add of -z is the negation of that of z, and
+exp sees the bits of -z that the expression computes. np.reciprocal(v) is
+1 / v correctly rounded, as np.divide(1.0, v) is, so the two give the same
+bits. A slot-major cache keeps one step's i, f and o in one contiguous
+block, the output of that fused sigmoid. Model files and lstm_backward's
+gradients keep the model order.
+
+Two parts of z do not wait on the recurrence, and _recur takes them out
+of the step:
+  - The input projection x_t wx^T. One np.matmul over a stretch of n
+    steps writes the projections of all n into a (n, rows, 4H) buffer,
+    where n = min(L, PREDICT_ROWS // rows), at least 1: 40 steps at B=1, 8
+    at B=32, 1 at B=245. So the buffer holds at most the PREDICT_ROWS rows
+    of gate pre-activations that a block's L2 budget already allows. Each
+    step then adds h wh^T and the bias into its row in place. np.matmul
+    over the stretch rounds as np.dot step by step does; one (L*B, D) GEMM
+    does not at B=1, and it is slower from B=32 up. At B=1, H=64 the
+    stretch takes about 25 us for 40 steps, against 77 us for 40 np.dot
+    calls. (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946, hoist the
+    input GEMM of an RNN the same way on GPUs.)
+  - The bias. _gate_weights repeats it on each row of a (rows, 4H) block,
+    so the per-step bias add is between arrays of one shape: 0.8 us at B=1
+    and 17 us at B=245, where adding the (4H,) vector by broadcasting takes
+    1.6 and 38 us and, at B=245, allocates a 64 KiB iterator buffer.
+A step then makes 12 numpy calls.
 """
 
 from __future__ import annotations
@@ -74,69 +97,81 @@ NUMBA_ENABLED = False
 PREDICT_ROWS = 256
 
 
-def _gate_weights(wx, wh, b):
-    """The fused gate weights _recur takes: (wx^T, wh^T, b), with the gate
+def _gate_weights(wx, wh, b, rows):
+    """The fused gate weights _recur takes: (wx^T, wh^T, brows), with the gate
     blocks ordered i, f, o, g and the rows of i, f and o negated (see the
-    module docstring). Built with slices and np.negative: at H=64 that
-    takes 23 us, against 64 us by fancy indexing, and a B=1 forecast of
-    under 1 ms notices the difference.
+    module docstring), and the fused bias repeated on each of `rows` rows, so
+    that a step adds it as an array of its own shape. Built with slices and
+    np.negative: at H=64 that takes 23 us, against 64 us by fancy indexing,
+    and a B=1 forecast of under 1 ms notices the difference.
     """
     H = wh.shape[1]
-    fused = []
-    for w in (wx, wh, b):
-        v = np.empty_like(w)
+    wxf, whf, brows = np.empty_like(wx), np.empty_like(wh), np.empty((rows, 4 * H))
+    for w, v in ((wx, wxf), (wh, whf), (b[:, None], brows.T)):
         np.negative(w[: 2 * H], v[: 2 * H])
         np.negative(w[3 * H :], v[2 * H : 3 * H])
         v[3 * H :] = w[2 * H : 3 * H]
-        fused.append(v)
-    return fused[0].T, fused[1].T, fused[2]
+    return wxf.T, whf.T, brows
 
 
-def _recur(wxt, wht, b, x, acts, z):
+def _recur(wxt, wht, brows, x, acts, proj, zh):
     """Run the recurrence over x from a zero state; return the last h (B, H).
 
-    wxt, wht and b are _gate_weights' output. acts is an (S, 7, B, H) array:
-    step t writes i, f, o, g, c, tanh(c) and h into acts[t % S], so S = L
-    keeps every step for lstm_backward and S = 1 keeps only the latest. The
-    zero state is written into the slot step L - 1 fills, which with S = 1
-    is the one every step overwrites in place. z is (2, B, 4H) scratch for
-    the gate pre-activations. A step allocates nothing, and evaluates the
-    gate math of the module docstring in the order written there, up to the
-    exact negations of the fused weights, so the result is bit-identical to
-    the expressions written out. Outputs are passed positionally, which
-    costs less than out= in the many tiny calls of a B=1 forecast.
+    wxt, wht and brows are _gate_weights' output, brows cut to the block's
+    B rows; acts, proj and zh are _scratch's buffers, cut likewise. acts is
+    an (S, 7, B, H) array: step t writes i, f, o, g, c, tanh(c) and h into
+    acts[t % S], so S = L keeps every step for lstm_backward and S = 1
+    keeps only the latest. The zero state is written into the slot step L - 1
+    fills, which with S = 1 is the one every step overwrites in place. proj
+    is (n, B, 4H): one GEMM writes the input projections of the next n steps
+    into it, and each of those steps adds its recurrent product zh (B, 4H)
+    and the bias in place. A step allocates nothing, and evaluates the gate
+    math of the module docstring in the order written there, up to the exact
+    negations of the fused weights, so the result is bit-identical to the
+    expressions written out. Outputs are passed positionally, which costs
+    less than out= in the many tiny calls of a B=1 forecast.
     """
     B, H = acts.shape[2:]
-    zx, zh = z
-    # -z of the sigmoid gates as (3, B, H), matching a slot's i, f, o
-    zs = zx[:, : 3 * H].reshape(B, 3, H).swapaxes(0, 1)
-    zg = zx[:, 3 * H :]
+    L, n = x.shape[0], proj.shape[0]
+    # per projection row: -z of the sigmoid gates as (3, B, H), matching a
+    # slot's i, f, o, and z of the cell candidate
+    zsv = proj[:, :, : 3 * H].reshape(n, B, 3, H).swapaxes(1, 2)
+    zgv = proj[:, :, 3 * H :]
     slots = [(slot[:3], *slot) for slot in acts]
     c, h = acts[-1, 4], acts[-1, 6]
     c[...] = 0.0
     h[...] = 0.0
-    for t in range(x.shape[0]):
-        ifo, i, f, o, g, c_t, tc, h_t = slots[t % len(slots)]
-        np.dot(x[t], wxt, zx)
-        np.dot(h, wht, zh)
-        zx += zh
-        zx += b
-        np.exp(zs, ifo)
-        ifo += 1.0
-        np.divide(1.0, ifo, ifo)
-        np.tanh(zg, g)
-        np.multiply(f, c, c_t)
-        np.multiply(i, g, tc)
-        c_t += tc
-        np.tanh(c_t, tc)
-        np.multiply(o, tc, h_t)
-        c, h = c_t, h_t
+    for s in range(0, L, n):
+        m = min(n, L - s)
+        np.matmul(x[s : s + m], wxt, proj[:m])
+        # a row's views are made as its step comes, so that the memory a
+        # call takes does not grow with n
+        for t, zx, zs, zg in zip(range(s, s + m), proj, zsv, zgv):
+            ifo, i, f, o, g, c_t, tc, h_t = slots[t % len(slots)]
+            np.dot(h, wht, zh)
+            zx += zh
+            zx += brows
+            np.exp(zs, ifo)
+            ifo += 1.0
+            np.reciprocal(ifo, ifo)
+            np.tanh(zg, g)
+            np.multiply(f, c, c_t)
+            np.multiply(i, g, tc)
+            c_t += tc
+            np.tanh(c_t, tc)
+            np.multiply(o, tc, h_t)
+            c, h = c_t, h_t
     return h
 
 
-def _scratch(rows, H, steps=1):
-    """The acts and z buffers _recur needs for a block of at most rows windows."""
-    return np.empty((steps, 7, rows, H)), np.empty((2, rows, 4 * H))
+def _scratch(rows, H, L, steps=1):
+    """The (acts, proj, zh) buffers _recur needs for blocks of at most rows
+    windows over L steps; acts keeps `steps` steps. proj holds a stretch of
+    n = min(L, PREDICT_ROWS // rows) steps, at least one (an empty batch
+    included), so that it is no larger than the gate array of a
+    PREDICT_ROWS-row block."""
+    n = max(1, min(L, PREDICT_ROWS // max(rows, 1)))
+    return np.empty((steps, 7, rows, H)), np.empty((n, rows, 4 * H)), np.empty((rows, 4 * H))
 
 
 def lstm_forward(wx, wh, b, w_out, b_out, x):
@@ -147,8 +182,8 @@ def lstm_forward(wx, wh, b, w_out, b_out, x):
     lstm_backward takes.
     """
     L, B, _ = x.shape
-    acts, z = _scratch(B, wh.shape[1], L)
-    h = _recur(*_gate_weights(wx, wh, b), x, acts, z)
+    acts, proj, zh = _scratch(B, wh.shape[1], L, L)
+    h = _recur(*_gate_weights(wx, wh, b, B), x, acts, proj, zh)
     return np.dot(h, w_out.T) + b_out, acts
 
 
@@ -204,27 +239,33 @@ def _cpu_count():
 def lstm_predict(wx, wh, b, w_out, b_out, x):
     """Forward pass without activation caching; returns the (B, K) output.
 
-    The batch runs in ceil(B / PREDICT_ROWS) balanced blocks, at least one,
-    spread over the process's CPUs (see the module docstring); the head runs
+    A batch of at most PREDICT_ROWS windows runs as one block in the calling
+    thread. A wider one runs in ceil(B / PREDICT_ROWS) balanced blocks spread
+    over the process's CPUs (see the module docstring), and the head runs
     once on their joined last hidden states. The output is bit-identical to
     the unblocked pass that lstm_forward makes.
     """
-    B = x.shape[1]
+    L, B, _ = x.shape
     H = wh.shape[1]
-    n = max(1, -(-B // PREDICT_ROWS))
+    if B <= PREDICT_ROWS:
+        h = _recur(*_gate_weights(wx, wh, b, B), x, *_scratch(B, H, L))
+        return np.dot(h, w_out.T) + b_out
+    n = -(-B // PREDICT_ROWS)
+    rows = -(-B // n)
     workers = min(n, _cpu_count())
     bounds = [B * k // n for k in range(n + 1)]
     # allocated here, not in the helpers, which would each grow a malloc
     # arena of their own (see the module docstring)
     h = np.empty((B, H))
-    weights = _gate_weights(wx, wh, b)
-    scratch = [_scratch(-(-B // n), H) for _ in range(workers)]
+    wxt, wht, brows = _gate_weights(wx, wh, b, rows)
+    scratch = [_scratch(rows, H, L) for _ in range(workers)]
 
     def run(w):
-        acts, z = scratch[w]
+        acts, proj, zh = scratch[w]
         for k in range(w, n, workers):
             lo, hi = bounds[k], bounds[k + 1]
-            h[lo:hi] = _recur(*weights, x[:, lo:hi], acts[:, :, : hi - lo], z[:, : hi - lo])
+            m = hi - lo
+            h[lo:hi] = _recur(wxt, wht, brows[:m], x[:, lo:hi], acts[:, :, :m], proj[:, :m], zh[:m])
 
     errors = []
 

@@ -36,35 +36,50 @@ EXIT_DIVERGED = 3
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write (path, text) pairs atomically; on failure remove every file
+    """Write (path, text) pairs atomically. On failure, remove every file
     this invocation made, finished outputs and the temporary file of the
-    write that failed, so no partial results survive. Two outputs that name
-    one file are refused before anything is written."""
+    write that failed, and every directory it made that is left empty, so
+    no partial results survive; then raise a ValueError that names the
+    output and the OS reason. Two outputs that name one file are refused
+    before anything is written."""
     seen = set()
     for path, _ in outputs:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"two outputs would write the same file {path}")
         seen.add(real)
-    made = []
+    made, dirs = [], []
     try:
         for path, text in outputs:
             parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
+            missing = []
+            while parent and not os.path.exists(parent):
+                missing.append(parent)
+                parent = os.path.dirname(parent)
+            # recorded before they are made: makedirs may fail partway
+            dirs.extend(reversed(missing))
+            if missing:
+                os.makedirs(missing[0], exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as f:
                 made.append(tmp)
                 f.write(text)
             os.replace(tmp, path)
             made[-1] = path
-    except OSError:
-        for path in made:
+    except OSError as exc:
+        for name in made:
             try:
-                os.remove(path)
+                os.remove(name)
             except OSError:
                 pass
-        raise
+        # deepest first; a directory that is not empty stays
+        for name in reversed(dirs):
+            try:
+                os.rmdir(name)
+            except OSError:
+                pass
+        # an OSError's text names the temporary file; its strerror does not
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read(what: str, load, path):

@@ -144,3 +144,43 @@ def recurrence_oracle(wx, wh, b, w_out, b_out, x):
         for name, value in zip(names, (i, f, g, o, c, tanh_c, h)):
             stacks[name][t] = value
     return np.dot(h, w_out.T) + b_out, h, stacks
+
+
+def bptt_oracle(wx, wh, w_out, x, stacks, dy):
+    """Backpropagation through time written out in model order over
+    recurrence_oracle's stacks: the bit-level oracle for
+    _kernels.lstm_backward.
+
+    dy is d(loss)/d(head output), shape (B, K). Returns (d_wx, d_wh, d_b,
+    d_wout, d_bout) with gate blocks in model order i, f, g, o. Each product
+    is the chain rule of the gate math in the _kernels module docstring,
+    grouped left to right as written, and each GEMM and sum over the batch
+    is the one that names the gradient it adds to, taken from the last step
+    to the first.
+    """
+    L = x.shape[0]
+    i, f, g, o, c, tanh_c, h = (stacks[name] for name in ("i", "f", "g", "o", "c", "tanh_c", "h"))
+    d_wx = np.zeros_like(wx)
+    d_wh = np.zeros_like(wh)
+    d_b = np.zeros(wx.shape[0])
+    dh = np.dot(dy, w_out)
+    dc = np.zeros_like(dh)
+    for t in range(L - 1, -1, -1):
+        c_prev = c[t - 1] if t > 0 else np.zeros_like(dc)  # the zero initial state
+        dc = dc + dh * o[t] * (1.0 - tanh_c[t] * tanh_c[t])
+        dz = np.concatenate(
+            [
+                dc * g[t] * i[t] * (1.0 - i[t]),
+                dc * c_prev * f[t] * (1.0 - f[t]),
+                dc * i[t] * (1.0 - g[t] * g[t]),
+                dh * tanh_c[t] * o[t] * (1.0 - o[t]),
+            ],
+            axis=1,
+        )
+        d_wx += np.dot(dz.T, x[t])
+        if t > 0:
+            d_wh += np.dot(dz.T, h[t - 1])
+        d_b += dz.sum(axis=0)
+        dh = np.dot(dz, wh)
+        dc = dc * f[t]
+    return d_wx, d_wh, d_b, np.dot(dy.T, h[L - 1]), dy.sum(axis=0)

@@ -506,6 +506,36 @@ def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
     assert not any(blocked.iterdir())
 
 
+def test_failed_command_removes_directories_it_made(pipeline, tmp_path):
+    root, series, model, _ = pipeline
+    blocked = tmp_path / "blocked.json"
+    blocked.mkdir()  # the JSON write fails after the CSV is written
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    code = run(
+        "evaluate", "--model", model, "--data", series,
+        "--out-csv", kept / "new" / "deeper" / "e.csv", "--out-json", blocked, "--quiet",
+    )
+    assert code == 1
+    # the directories the command made are gone; the one that was there stays
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked.json", "kept"]
+    assert not any(kept.iterdir())
+
+
+def test_failed_write_names_the_output(pipeline, tmp_path, capsys):
+    root, series, model, _ = pipeline
+    blocked = tmp_path / "blk.json"
+    blocked.mkdir()
+    code = run(
+        "evaluate", "--model", model, "--data", series,
+        "--out-csv", tmp_path / "e.csv", "--out-json", blocked, "--quiet",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"deckmotion: error: cannot write {blocked}: Is a directory\n"
+    assert ".tmp" not in err
+
+
 def test_one_row_series_is_not_written(pipeline, tmp_path, capsys):
     """A series CSV's t column gives the time step, so every reader needs
     two rows; a command whose series would have one exits 1 and writes

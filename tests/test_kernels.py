@@ -2,6 +2,7 @@
 uncached forward passes, bit-identity with the model-order recurrence, and
 the names the benchmark harness reads."""
 
+import itertools
 import threading
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 from deckmotion import _kernels as K
 from deckmotion import evaluate, lstm, restperiod, seriesdata, svgplot, training, wavegen
 from deckmotion.lstm import LstmConfig, init_params
-from oracles import recurrence_oracle
+from oracles import bptt_oracle, recurrence_oracle
 
 
 # acts[t] of lstm_forward's cache holds these, in this order
@@ -52,11 +53,13 @@ def test_forward_and_predict_consistent():
 @pytest.mark.parametrize("hidden", [3, 8, 64])
 @pytest.mark.parametrize("saturated", [False, True])
 def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
-    # the kernels negate and reorder the gate weights and run one sigmoid
-    # over the i, f, o slots; every value must still equal the model-order
-    # expressions bit for bit, including gates that saturate at 0 and 1
-    lookback = 5  # not 7, so that an (L, 7, B, H) cache is told from (7, L, B, H)
-    for batch in (1, 2, 5, 32, 255, 256, 257, 1960):
+    # the kernels negate and reorder the gate weights, project the inputs of
+    # several steps at once and run one sigmoid over the i, f, o slots; every
+    # value must still equal the model-order expressions bit for bit,
+    # including gates that saturate at 0 and 1. Neither lookback is 7, so
+    # that an (L, 7, B, H) cache is told from (7, L, B, H); at 13, B=32
+    # projects its inputs in stretches of 8 and 5 steps
+    for lookback, batch in itertools.product((5, 13), (1, 2, 5, 32, 255, 256, 257, 1960)):
         params, x = _random_case(hidden + batch, hidden=hidden, lookback=lookback, batch=batch)
         if saturated:
             x = np.where(x < 0.0, -1e4, 1e4)
@@ -66,14 +69,36 @@ def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
             y_ref, h_ref, stacks = recurrence_oracle(*args)
             y_pred = K.lstm_predict(*args)
             # the uncached pass, in one slot that every step overwrites
-            weights = K._gate_weights(params.wx, params.wh, params.b)
-            h = K._recur(*weights, x, *K._scratch(batch, hidden))
+            weights = K._gate_weights(params.wx, params.wh, params.b, batch)
+            h = K._recur(*weights, x, *K._scratch(batch, hidden, lookback))
         assert acts.shape == (lookback, 7, batch, hidden)
-        assert np.array_equal(y, y_ref), batch
-        assert np.array_equal(y_pred, y_ref), batch
-        assert np.array_equal(h, h_ref), batch
+        assert np.array_equal(y, y_ref), (lookback, batch)
+        assert np.array_equal(y_pred, y_ref), (lookback, batch)
+        assert np.array_equal(h, h_ref), (lookback, batch)
         for k, name in enumerate(SLOTS):
-            assert np.array_equal(acts[:, k], stacks[name]), (batch, name)
+            assert np.array_equal(acts[:, k], stacks[name]), (lookback, batch, name)
+
+
+@pytest.mark.parametrize("hidden", [3, 8, 64])
+@pytest.mark.parametrize("saturated", [False, True])
+def test_backward_is_bit_identical_to_model_order_bptt(hidden, saturated):
+    # the gradients decide the model file's bytes, so lstm_backward must
+    # equal BPTT written out in model order bit for bit, not only to within
+    # the tolerance of a finite-difference check
+    lookback = 5
+    for batch in (1, 2, 5, 32, 255, 256, 257, 1960):
+        params, x = _random_case(hidden + batch, hidden=hidden, lookback=lookback, batch=batch)
+        if saturated:
+            x = np.where(x < 0.0, -1e4, 1e4)
+        dy = np.random.default_rng(batch).normal(size=(batch, 3))
+        args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+        with np.errstate(over="ignore"):
+            _, acts = K.lstm_forward(*args)
+            _, _, stacks = recurrence_oracle(*args)
+        grads = K.lstm_backward(params.wx, params.wh, params.w_out, x, acts, dy)
+        expected = bptt_oracle(params.wx, params.wh, params.w_out, x, stacks, dy)
+        for name, got, want in zip(("d_wx", "d_wh", "d_b", "d_wout", "d_bout"), grads, expected):
+            assert np.array_equal(got, want), (batch, name)
 
 
 @pytest.mark.parametrize("batch", [1, 245])
@@ -83,12 +108,12 @@ def test_recurrence_memory_does_not_grow_with_steps(batch):
     peaks = []
     for lookback in (4, 40):
         params, x = _random_case(2, hidden=64, lookback=lookback, batch=batch)
-        weights = K._gate_weights(params.wx, params.wh, params.b)
-        acts, z = K._scratch(batch, 64)
-        K._recur(*weights, x, acts, z)  # warm numpy's first-call caches
+        weights = K._gate_weights(params.wx, params.wh, params.b, batch)
+        scratch = K._scratch(batch, 64, lookback)
+        K._recur(*weights, x, *scratch)  # warm numpy's first-call caches
         tracemalloc.start()
         try:
-            K._recur(*weights, x, acts, z)
+            K._recur(*weights, x, *scratch)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
