@@ -134,7 +134,6 @@ def _cmd_train(args):
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
-        optimizer=args.optimizer,
         shuffle_seed=args.seed,
         hidden_dim=args.hidden,
         lookback=args.lookback,
@@ -144,8 +143,8 @@ def _cmd_train(args):
     split = sd.split_series(windows, args.split, n)
     provenance = (
         f"data={args.data};n={n};dt={series.dt!r};split={args.split};seed={args.seed};"
-        f"shuffle_seed={args.seed};hidden={args.hidden};lookback={args.lookback};"
-        f"epochs={args.epochs};batch={args.batch};lr={args.lr};optimizer={args.optimizer}"
+        f"hidden={args.hidden};lookback={args.lookback};epochs={args.epochs};"
+        f"batch={args.batch};lr={args.lr}"
     )
     start = time.perf_counter()
     artifact, report = tr.train(split, config, args.seed, normalizer=normalizer)
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200, help="training epochs (default 200)")
     p.add_argument("--batch", type=int, default=32, help="mini-batch size (default 32)")
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
-    p.add_argument("--optimizer", choices=tr.OPTIMIZERS, default="adam", help="update rule (default adam)")
     p.add_argument("--seed", type=int, default=0, help="weight-init and epoch shuffle seed (default 0)")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--report", default=None, help="also write a training report JSON")
@@ -325,6 +323,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # simulate and train declare --seed; both refuse a negative one here
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         outputs, message = args.func(args)
         _write_outputs(outputs)
     except ValueError as exc:

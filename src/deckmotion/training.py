@@ -1,4 +1,7 @@
-"""Mini-batch training loop, optimizers, and model persistence.
+"""Mini-batch training loop and model persistence.
+
+The one update rule is Adam (Kingma & Ba 2015) with the fixed constants
+BETA1, BETA2 and EPSILON; only the learning rate is set.
 
 Training is bitwise reproducible: parameter init is seeded, the per-epoch
 shuffle derives from (shuffle_seed, epoch), and batch gradients come out
@@ -20,8 +23,6 @@ from .wavegen import json_int, json_load, json_text
 
 FORMAT_VERSION = 1
 
-OPTIMIZERS = ("adam", "sgd")
-
 # Adam's decay rates and denominator guard, as in Kingma & Ba (2015)
 BETA1 = 0.9
 BETA2 = 0.999
@@ -37,7 +38,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 32
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     shuffle_seed: int = 0
     hidden_dim: int = 64
     lookback: int = 40
@@ -50,8 +50,6 @@ class TrainConfig:
         # zero is allowed (a no-op run is a useful control), negative is not
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.shuffle_seed < 0:
             raise ValueError(f"shuffle_seed must be a non-negative integer, got {self.shuffle_seed}")
 
@@ -71,15 +69,6 @@ class ModelArtifact:
     provenance: str = ""
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: LstmParams, grads: tuple[np.ndarray, ...]) -> None:
-        for p, g in zip(params.arrays(), grads):
-            p -= self.lr * g
-
-
 class _Adam:
     def __init__(self, lr: float, params: LstmParams):
         self.lr = lr
@@ -95,12 +84,6 @@ class _Adam:
             self.m[k] = BETA1 * self.m[k] + (1.0 - BETA1) * g
             self.v[k] = BETA2 * self.v[k] + (1.0 - BETA2) * g * g
             p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + EPSILON)
-
-
-def _make_optimizer(config: TrainConfig, params: LstmParams):
-    if config.optimizer == "sgd":
-        return _Sgd(config.learning_rate)
-    return _Adam(config.learning_rate, params)
 
 
 def train(
@@ -123,7 +106,7 @@ def train(
         )
     lstm_config = LstmConfig(hidden_dim=config.hidden_dim, lookback=config.lookback)
     params = init_params(lstm_config, seed)
-    optimizer = _make_optimizer(config, params)
+    optimizer = _Adam(config.learning_rate, params)
 
     inputs = split.train.inputs
     targets = split.train.targets

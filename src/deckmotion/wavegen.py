@@ -233,6 +233,8 @@ def wave_model_to_dict(model: WaveModel) -> dict:
 
 
 def wave_model_from_dict(doc: dict) -> WaveModel:
+    if not isinstance(doc, dict):
+        raise ValueError("wave model document must be a JSON object")
     try:
         channels = doc["channels"]
         kwargs = {
@@ -315,6 +317,8 @@ def json_load(path):
 
 
 def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("sea-state spec document must be a JSON object")
     try:
         channels = doc["channels"]
         kwargs = {

@@ -59,7 +59,6 @@ def trained():
         epochs=200,
         batch_size=32,
         learning_rate=1e-3,
-        optimizer="adam",
         shuffle_seed=SEED,
         hidden_dim=64,
         lookback=40,

@@ -127,7 +127,7 @@ def test_cli_flag_census():
         "simulate": {"--quiet", "--model", "--model-file", "--spec-file", "--n", "--dt", "--seed",
                      "--out", "--save-model", "--random-phases"},
         "train": {"--quiet", "--data", "--lookback", "--split", "--hidden", "--epochs", "--batch",
-                  "--lr", "--optimizer", "--seed", "--out", "--report"},
+                  "--lr", "--seed", "--out", "--report"},
         "predict": forecast | {"--out"},
         "evaluate": forecast | {"--out-csv", "--out-json", "--svg"},
         "rest": forecast | {"--pitch-max", "--roll-max", "--heave-rate-max", "--min-duration",
@@ -192,7 +192,11 @@ def test_bad_seed_exits_1(pipeline, tmp_path, capsys):
     root, series, model, _ = pipeline
     train = ["train", "--data", series, "--lookback", "20", "--hidden", "4", "--epochs", "1",
              "--out", tmp_path / "m.json", "--quiet"]
-    assert run(*train, "--seed", "-3") == 1
+    simulate = ["simulate", "--model", "random", "--n", "50", "--out", tmp_path / "s.csv", "--quiet"]
+    for argv in (train, simulate):
+        assert run(*argv, "--seed", "-3") == 1
+        assert "--seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
     # a split outside (0, 1) is refused before the normalizer is fitted on it
     for split in ("inf", "1e308", "1.5", "nan", "1", "0"):
         assert run(*train, f"--split={split}") == 1
@@ -388,7 +392,7 @@ def test_divergence_exits_3(tmp_path):
     series_path.write_text(_csv(sd.MotionSeries(dt=0.1, samples=rng.normal(size=(80, 3)))))
     code = run(
         "train", "--data", series_path, "--lookback", "10", "--hidden", "4",
-        "--epochs", "60", "--batch", "16", "--lr", "1e12", "--optimizer", "sgd",
+        "--epochs", "60", "--batch", "16", "--lr", "1e200",
         "--out", tmp_path / "m.json", "--quiet",
     )
     assert code == 3

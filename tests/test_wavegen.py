@@ -211,6 +211,25 @@ def test_sea_state_spec_json_round_trip(tmp_path):
     assert wg.load_sea_state_spec(path) == spec
 
 
+NOT_OBJECTS = ("[]", "[1, 2]", '"channels"', "3", "null")
+
+
+def test_wave_model_document_must_be_object(tmp_path):
+    path = tmp_path / "wave.json"
+    for text in NOT_OBJECTS:
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^wave model document must be a JSON object$"):
+            wg.load_wave_model(path)
+
+
+def test_spec_document_must_be_object(tmp_path):
+    path = tmp_path / "spec.json"
+    for text in NOT_OBJECTS:
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^sea-state spec document must be a JSON object$"):
+            wg.load_sea_state_spec(path)
+
+
 def test_malformed_documents_rejected():
     with pytest.raises(ValueError):
         wg.wave_model_from_dict({"label": "x"})
