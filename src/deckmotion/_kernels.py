@@ -5,18 +5,23 @@ activation cache for lstm_backward; lstm_predict runs it without one, so
 forecasting wide batches allocates no per-step history.
 
 lstm_predict also splits a batch wider than PREDICT_ROWS windows into
-ceil(B / PREDICT_ROWS) blocks of near-equal size and runs _recur on each.
-At H=64 a 256-row block's (rows, 4H) gate array is 512 KiB, so each step's
-working set stays in a core's L2 cache, where the whole B=1960 array
-(4 MB) does not. The rows of a batch are independent, so blocking cannot
-change the result, provided every block is wide: on OpenBLAS a GEMM of
-1 to 4 rows rounds differently from the same rows inside a wide GEMM. A
-balanced split keeps every block above PREDICT_ROWS / 2 rows once
+blocks of near-equal size and runs _recur on each. At H=64 a 224-row
+block's (rows, 4H) gate array is 448 KiB, so each step's working set stays
+in a core's L2 cache, where the whole B=1960 array (4 MB) does not, and
+224 * 64 * 64 <= 10^6 keeps the block's recurrent product on the per-gate
+path described below. The rows of a batch are independent, so blocking
+cannot change the result, provided every block is wide: on OpenBLAS a
+GEMM of 1 to 4 rows rounds differently from the same rows inside a wide
+GEMM. The block count is ceil(B / PREDICT_ROWS) rounded up to a multiple
+of the worker count W, so that every worker runs as many blocks as every
+other: on 2 CPUs, B=1960 runs as 10 blocks of 196 rows and B=588 as 4 of
+147, where 3 blocks of 196 left one worker two of them. The split is
+balanced, and every block stays above PREDICT_ROWS / 4 rows once
 B > PREDICT_ROWS; a fixed stride would leave a thin trailing block.
 
 The blocks run on every CPU the process may use: the calling thread takes
 blocks 0, W, 2W, ... and W - 1 helper threads the rest, where W is the
-CPU count capped at the block count. numpy releases the interpreter lock
+CPU count capped at ceil(B / PREDICT_ROWS). numpy releases the interpreter lock
 inside each GEMM and ufunc, so the threads overlap. Three rules keep this
 exact and lean:
   - _recur allocates nothing per step, and the calling thread allocates
@@ -65,8 +70,8 @@ Two parts of z do not wait on the recurrence, and _recur takes them out
 of the step:
   - The input projection x_t wx^T. One np.matmul over a stretch of n
     steps writes the projections of all n into a (n, rows, 4H) buffer,
-    where n = min(L, PREDICT_ROWS // rows), at least 1: 40 steps at B=1, 8
-    at B=32, 1 at B=245. So the buffer holds at most the PREDICT_ROWS rows
+    where n = min(L, PREDICT_ROWS // rows), at least 1: 40 steps at B=1, 7
+    at B=32, 1 at B=196. So the buffer holds at most the PREDICT_ROWS rows
     of gate pre-activations that a block's L2 budget already allows. Each
     step then adds h wh^T and the bias into its row in place. np.matmul
     over the stretch rounds as np.dot step by step does; one (L*B, D) GEMM
@@ -79,6 +84,26 @@ of the step:
     and 17 us at B=245, where adding the (4H,) vector by broadcasting takes
     1.6 and 38 us and, at B=245, allocates a 64 KiB iterator buffer.
 A step then makes 12 numpy calls.
+
+The one GEMM left in the step, the recurrent product h wh^T, is a
+(rows, H) @ (H, 4H) product with an F-ordered right operand, and OpenBLAS
+runs it on a slow path. Four (rows, H) @ (H, H) products, one per gate,
+in one np.matmul over a (4, H, H) stack give the same bits in 0.32-0.78
+of its time at H = 32 to 256 (one OpenBLAS 0.3.31 thread, AVX-512): 0.37
+at H=64 with 5 rows, 0.63 with 32, 0.67 with 224. The matmul writes
+through a (4, rows, H) strided view of the row-major zh, so it allocates
+nothing. _gate_weights returns the stack only where that is both exact
+and faster, all measured:
+  - rows * H * H <= 10^6, OpenBLAS's small-matrix bound. One row more and
+    the four products leave that path and take 1.1-1.4 times the fused
+    one at H = 32 to 96: 245 rows against 244 at H=64, 977 against 976
+    at H=32.
+  - H a multiple of 8 from 32 to 384. At H = 3 and 8 the stack is 1.2-2.0
+    times slower up to 32 rows. At most other H, such as 33, 60 and 100,
+    and at H >= 392 with 5 or 6 rows, it rounds differently.
+  - rows > 4 and rows * H > 288. Below that the two round differently:
+    up to 9 rows at H=32, up to 4 at H=64.
+Elsewhere, B=1 included, the step calls np.dot on the fused (H, 4H) view.
 """
 
 from __future__ import annotations
@@ -94,7 +119,7 @@ import numpy as np
 NUMBA_ENABLED = False
 
 # Widest batch block lstm_predict runs through the recurrence at once.
-PREDICT_ROWS = 256
+PREDICT_ROWS = 224
 
 
 def _gate_weights(wx, wh, b, rows):
@@ -103,7 +128,9 @@ def _gate_weights(wx, wh, b, rows):
     module docstring), and the fused bias repeated on each of `rows` rows, so
     that a step adds it as an array of its own shape. Built with slices and
     np.negative: at H=64 that takes 23 us, against 64 us by fancy indexing,
-    and a B=1 forecast of under 1 ms notices the difference.
+    and a B=1 forecast of under 1 ms notices the difference. wh^T is the
+    (H, 4H) view, or, where the bounds in the module docstring allow blocks
+    of `rows` rows, the contiguous (4, H, H) stack of its gate blocks.
     """
     H = wh.shape[1]
     wxf, whf, brows = np.empty_like(wx), np.empty_like(wh), np.empty((rows, 4 * H))
@@ -111,6 +138,9 @@ def _gate_weights(wx, wh, b, rows):
         np.negative(w[: 2 * H], v[: 2 * H])
         np.negative(w[3 * H :], v[2 * H : 3 * H])
         v[3 * H :] = w[2 * H : 3 * H]
+    if H % 8 == 0 and 32 <= H <= 384 and max(4, 288 // H) < rows <= 10**6 // (H * H):
+        # w4[k] is wh^T's gate block k
+        return wxf.T, np.ascontiguousarray(whf.reshape(4, H, H).swapaxes(1, 2)), brows
     return wxf.T, whf.T, brows
 
 
@@ -118,7 +148,9 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     """Run the recurrence over x from a zero state; return the last h (B, H).
 
     wxt, wht and brows are _gate_weights' output, brows cut to the block's
-    B rows; acts, proj and zh are _scratch's buffers, cut likewise. acts is
+    B rows; acts, proj and zh are _scratch's buffers, cut likewise. A 3-D
+    wht takes the recurrent product per gate with np.matmul, a 2-D one takes
+    it fused with np.dot; the choice is made once per call. acts is
     an (S, 7, B, H) array: step t writes i, f, o, g, c, tanh(c) and h into
     acts[t % S], so S = L keeps every step for lstm_backward and S = 1
     keeps only the latest. The zero state is written into the slot step L - 1
@@ -138,6 +170,10 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     zsv = proj[:, :, : 3 * H].reshape(n, B, 3, H).swapaxes(1, 2)
     zgv = proj[:, :, 3 * H :]
     slots = [(slot[:3], *slot) for slot in acts]
+    if wht.ndim == 3:
+        rec, rec_out = np.matmul, zh.reshape(B, 4, H).transpose(1, 0, 2)
+    else:
+        rec, rec_out = np.dot, zh
     c, h = acts[-1, 4], acts[-1, 6]
     c[...] = 0.0
     h[...] = 0.0
@@ -148,7 +184,7 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
         # call takes does not grow with n
         for t, zx, zs, zg in zip(range(s, s + m), proj, zsv, zgv):
             ifo, i, f, o, g, c_t, tc, h_t = slots[t % len(slots)]
-            np.dot(h, wht, zh)
+            rec(h, wht, rec_out)
             zx += zh
             zx += brows
             np.exp(zs, ifo)
@@ -240,8 +276,8 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
     """Forward pass without activation caching; returns the (B, K) output.
 
     A batch of at most PREDICT_ROWS windows runs as one block in the calling
-    thread. A wider one runs in ceil(B / PREDICT_ROWS) balanced blocks spread
-    over the process's CPUs (see the module docstring), and the head runs
+    thread. A wider one runs in balanced blocks, as many for each of the
+    process's CPUs (see the module docstring), and the head runs
     once on their joined last hidden states. The output is bit-identical to
     the unblocked pass that lstm_forward makes.
     """
@@ -251,8 +287,9 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
         h = _recur(*_gate_weights(wx, wh, b, B), x, *_scratch(B, H, L))
         return np.dot(h, w_out.T) + b_out
     n = -(-B // PREDICT_ROWS)
-    rows = -(-B // n)
     workers = min(n, _cpu_count())
+    n = -(-n // workers) * workers
+    rows = -(-B // n)
     bounds = [B * k // n for k in range(n + 1)]
     # allocated here, not in the helpers, which would each grow a malloc
     # arena of their own (see the module docstring)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lstm import CHANNEL_DIM, LstmConfig, LstmParams, init_params, loss_and_gradients, predict_windows
 from .seriesdata import Normalizer, SplitDataset
-from .wavegen import json_int, json_load, json_text
+from .wavegen import json_int, json_load, json_object, json_text
 
 FORMAT_VERSION = 1
 
@@ -168,15 +168,14 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
 
 def model_from_dict(doc: dict) -> ModelArtifact:
     """The artifact a model document describes; anything else raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
+    json_object(doc, "model document")
     if "format_version" not in doc:
         raise ValueError("missing format_version")
     version = doc["format_version"]
     if version != FORMAT_VERSION:
         raise ValueError(f"unknown format_version {version!r}")
     try:
-        cfg = doc["config"]
+        cfg = json_object(doc["config"], "config")
         config = LstmConfig(
             hidden_dim=json_int(cfg["hidden_dim"], "hidden_dim"),
             lookback=json_int(cfg["lookback"], "lookback"),
@@ -184,7 +183,7 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         for key in ("input_dim", "output_dim"):
             if json_int(cfg.get(key, CHANNEL_DIM), key) != CHANNEL_DIM:
                 raise ValueError(f"joint tri-channel prediction requires {key} = {CHANNEL_DIM}")
-        norm_doc = doc["normalizer"]
+        norm_doc = json_object(doc["normalizer"], "normalizer")
         normalizer = Normalizer(
             offset=_block(norm_doc, "offset", (CHANNEL_DIM,)),
             scale=_block(norm_doc, "scale", (CHANNEL_DIM,)),
@@ -192,7 +191,8 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         # each block is checked before anything is stacked, so a file that
         # declares a huge hidden_dim allocates nothing of that size
         shapes = config.named_shapes()
-        named = {name: _block(doc["params"], name, shape) for name, shape in shapes.items()}
+        params_doc = json_object(doc["params"], "params")
+        named = {name: _block(params_doc, name, shape) for name, shape in shapes.items()}
         params = LstmParams.from_named(named)  # refuses non-finite weights
         provenance = str(doc.get("provenance", ""))
     # OverflowError: an integer beyond float64, such as 1e400 written in full

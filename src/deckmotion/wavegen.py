@@ -232,20 +232,21 @@ def wave_model_to_dict(model: WaveModel) -> dict:
     }
 
 
+def _sine_component(value, channel: str) -> SineComponent:
+    c = json_object(value, f"each {channel} component")
+    return SineComponent(
+        json_float(c["amplitude"], "amplitude"),
+        json_float(c["omega"], "omega"),
+        json_float(c.get("phase", 0.0), "phase"),
+    )
+
+
 def wave_model_from_dict(doc: dict) -> WaveModel:
-    if not isinstance(doc, dict):
-        raise ValueError("wave model document must be a JSON object")
+    json_object(doc, "wave model document")
     try:
-        channels = doc["channels"]
+        channels = json_object(doc["channels"], "channels")
         kwargs = {
-            name: tuple(
-                SineComponent(
-                    json_float(c["amplitude"], "amplitude"),
-                    json_float(c["omega"], "omega"),
-                    json_float(c.get("phase", 0.0), "phase"),
-                )
-                for c in channels[name]
-            )
+            name: tuple(_sine_component(c, name) for c in json_array(channels[name], f"channel {name}"))
             for name in CHANNELS
         }
         label = str(doc.get("label", ""))
@@ -298,6 +299,20 @@ def json_float(value, name: str) -> float:
         raise ValueError(f"{name} is beyond float64 ({exc})") from exc
 
 
+def json_object(value, name: str) -> dict:
+    """A JSON document or section that must be an object; name says which."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return value
+
+
+def json_array(value, name: str) -> list:
+    """A section of a JSON document that must be an array; name says which."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array")
+    return value
+
+
 def json_text(doc) -> str:
     """Indented JSON text with a final newline, as every JSON file is
     written; a non-finite number raises ValueError."""
@@ -317,19 +332,21 @@ def json_load(path):
 
 
 def sea_state_spec_from_dict(doc: dict) -> SeaStateSpec:
-    if not isinstance(doc, dict):
-        raise ValueError("sea-state spec document must be a JSON object")
+    json_object(doc, "sea-state spec document")
     try:
-        channels = doc["channels"]
-        kwargs = {
-            name: ChannelSpec(
+        channels = json_object(doc["channels"], "channels")
+        kwargs = {}
+        for name in CHANNELS:
+            channel = json_object(channels[name], f"channel {name}")
+            kwargs[name] = ChannelSpec(
                 **{
-                    field: tuple(json_float(v, f"each {field} bound") for v in channels[name][field])
+                    field: tuple(
+                        json_float(v, f"each {field} bound")
+                        for v in json_array(channel[field], f"{name} {field}")
+                    )
                     for field in ("amplitude_sum_range", "period_range")
                 }
             )
-            for name in CHANNELS
-        }
         k = json_int(doc.get("components_per_channel", 4), "components_per_channel")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sea-state spec document: {exc}") from exc

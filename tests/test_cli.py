@@ -792,3 +792,39 @@ def test_loaders_give_an_exit_code(pipeline, loader_input):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(*argv, "--out", root / "drawn" / "out.csv", "--quiet") in (0, 1)
+
+
+_SPEC_DOC = wg.sea_state_spec_to_dict(wg.sea_state5_spec())
+
+
+@pytest.mark.parametrize(
+    ("flag", "doc", "message"),
+    [
+        ("--model-file", {"channels": []}, "channels must be a JSON object"),
+        ("--model-file", _replaced(_WAVE_DOC, ("channels", "pitch"), {"amplitude": 1.0, "omega": 1.0}),
+         "channel pitch must be a JSON array"),
+        ("--model-file", _replaced(_WAVE_DOC, ("channels", "roll", 1), 0.5),
+         "each roll component must be a JSON object"),
+        ("--spec-file", {"channels": []}, "channels must be a JSON object"),
+        ("--spec-file", _replaced(_SPEC_DOC, ("channels", "heave"), [1, 2]),
+         "channel heave must be a JSON object"),
+        ("--spec-file", _replaced(_SPEC_DOC, ("channels", "roll", "period_range"), 12),
+         "roll period_range must be a JSON array"),
+        ("--model", {"format_version": 1, "config": []}, "config must be a JSON object"),
+        ("--model", _replaced(_MODEL_DOC, ("normalizer",), [0.0, 1.0]), "normalizer must be a JSON object"),
+        ("--model", _replaced(_MODEL_DOC, ("params",), []), "params must be a JSON object"),
+    ],
+)
+def test_nested_section_of_wrong_type_is_named(pipeline, capsys, flag, doc, message):
+    root, series, _, _ = pipeline
+    path = root / "section.json"
+    path.write_text(json.dumps(doc))
+    what, argv = {
+        "--model": ("model", ["predict", "--model", path, "--data", series]),
+        "--model-file": ("wave model", ["simulate", "--model-file", path, "--n", 20]),
+        "--spec-file": ("spec", ["simulate", "--model", "random", "--spec-file", path, "--n", 20]),
+    }[flag]
+    assert run(*argv, "--out", root / "section" / "out.csv", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"deckmotion: error: cannot read {what} {path}: ")
+    assert err.endswith(f"{message}\n")

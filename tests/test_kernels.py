@@ -50,16 +50,19 @@ def test_forward_and_predict_consistent():
     assert lstm.predict_windows(params, np.zeros((0, 7, 3))).shape == (0, 3)
 
 
-@pytest.mark.parametrize("hidden", [3, 8, 64])
+@pytest.mark.parametrize("hidden", [3, 8, 32, 64])
 @pytest.mark.parametrize("saturated", [False, True])
 def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
     # the kernels negate and reorder the gate weights, project the inputs of
-    # several steps at once and run one sigmoid over the i, f, o slots; every
-    # value must still equal the model-order expressions bit for bit,
-    # including gates that saturate at 0 and 1. Neither lookback is 7, so
-    # that an (L, 7, B, H) cache is told from (7, L, B, H); at 13, B=32
-    # projects its inputs in stretches of 8 and 5 steps
-    for lookback, batch in itertools.product((5, 13), (1, 2, 5, 32, 255, 256, 257, 1960)):
+    # several steps at once, run one sigmoid over the i, f, o slots and, at
+    # H=32 and 64, take the recurrent product per gate; every value must
+    # still equal the model-order expressions bit for bit, including gates
+    # that saturate at 0 and 1. Neither lookback is 7, so that an
+    # (L, 7, B, H) cache is told from (7, L, B, H); at 13, B=32 projects its
+    # inputs in stretches of 7 and 6 steps. At H=64, 244 and 245 rows sit on
+    # either side of the per-gate product's 10^6 bound
+    batches = (1, 2, 5, 32, 244, 245, 255, 256, 257, 1960)
+    for lookback, batch in itertools.product((5, 13), batches):
         params, x = _random_case(hidden + batch, hidden=hidden, lookback=lookback, batch=batch)
         if saturated:
             x = np.where(x < 0.0, -1e4, 1e4)
@@ -101,10 +104,11 @@ def test_backward_is_bit_identical_to_model_order_bptt(hidden, saturated):
             assert np.array_equal(got, want), (batch, name)
 
 
-@pytest.mark.parametrize("batch", [1, 245])
+@pytest.mark.parametrize("batch", [1, 196, 245])
 def test_recurrence_memory_does_not_grow_with_steps(batch):
     # _recur allocates nothing per step that outlives the step, so its
-    # traced peak is the same over 4 steps and over 40
+    # traced peak is the same over 4 steps and over 40; at 196 rows the
+    # per-gate product writes through a strided view of its output
     peaks = []
     for lookback in (4, 40):
         params, x = _random_case(2, hidden=64, lookback=lookback, batch=batch)
@@ -126,10 +130,66 @@ def test_threaded_predict_matches_forward(monkeypatch, workers):
     # result must not depend on how many there are
     monkeypatch.setattr(K, "_cpu_count", lambda: workers)
     rows = K.PREDICT_ROWS
-    for batch in (rows + 1, 2 * rows + 1, 1960):
+    for batch in (rows + 1, 2 * rows + 1, 588, 1960):
         params, x = _random_case(11, hidden=8, batch=batch)
         args = (params.wx, params.wh, params.b, params.w_out, params.b_out, x)
         assert np.array_equal(K.lstm_forward(*args)[0], K.lstm_predict(*args)), batch
+
+
+def test_predict_blocks_are_balanced_over_workers(monkeypatch):
+    # the block count is a multiple of the worker count, so no worker runs
+    # one block more than another, and every block stays on the per-gate
+    # product's path at H=64
+    monkeypatch.setattr(K, "_cpu_count", lambda: 2)
+    widths = []
+    recur = K._recur
+
+    def recording(*args):
+        widths.append((args[3].shape[1], args[1].ndim))
+        return recur(*args)
+
+    monkeypatch.setattr(K, "_recur", recording)
+    for batch, blocks in ((588, [(147, 3)] * 4), (1960, [(196, 3)] * 10)):
+        params, x = _random_case(6, hidden=64, lookback=3, batch=batch)
+        widths.clear()
+        K.lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+        assert sorted(widths) == blocks, batch
+
+
+def test_gate_weights_choose_the_product():
+    # per-gate (4, H, H) recurrent weights where they are exact and faster
+    # than the fused (H, 4H) product, which stays everywhere else
+    params = init_params(LstmConfig(hidden_dim=64, lookback=3), 1)
+    for rows, ndim in ((4, 2), (5, 3), (244, 3), (245, 2)):
+        wht = K._gate_weights(params.wx, params.wh, params.b, rows)[1]
+        assert wht.ndim == ndim, rows
+    fused = K._gate_weights(params.wx, params.wh, params.b, 1)[1]
+    w4 = K._gate_weights(params.wx, params.wh, params.b, 5)[1]
+    assert w4.flags["C_CONTIGUOUS"]
+    for k in range(4):
+        assert np.array_equal(w4[k], fused[:, 64 * k : 64 * (k + 1)])
+
+
+def test_per_gate_product_is_exact_where_chosen():
+    # on OpenBLAS the per-gate GEMMs round as the fused one does only for
+    # some shapes: not at H=40 with 7 rows, nor at H=392 with 5, nor at
+    # H=100. Wherever _gate_weights picks them, the products must be equal
+    rng = np.random.default_rng(0)
+    chosen = 0
+    for H in (8, 24, 32, 40, 48, 56, 64, 72, 100, 128, 256, 384, 392):
+        wx, wh, b = rng.normal(size=(4 * H, 3)), rng.normal(size=(4 * H, H)), rng.normal(size=4 * H)
+        fused = K._gate_weights(wx, wh, b, 1)[1]
+        bound = 10**6 // (H * H)
+        for rows in {*range(1, 13), bound - 1, bound, bound + 1} - {0}:
+            wht = K._gate_weights(wx, wh, b, rows)[1]
+            if wht.ndim == 2:
+                continue
+            chosen += 1
+            h = rng.normal(size=(rows, H))
+            zh = np.empty((rows, 4 * H))
+            np.matmul(h, wht, zh.reshape(rows, 4, H).transpose(1, 0, 2))
+            assert np.array_equal(zh, np.dot(h, fused)), (H, rows)
+    assert chosen > 50
 
 
 def test_threaded_predict_keeps_callers_errstate(monkeypatch):
