@@ -18,6 +18,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -35,22 +36,40 @@ EXIT_FAILURE = 1
 EXIT_DIVERGED = 3
 
 
+def _stage(path: str, taken: set) -> tuple[str, int]:
+    """Create a new temporary file beside path, under a name that is neither
+    in taken nor an existing file, with the mode the umask gives a new file;
+    return its name and a descriptor open for writing."""
+    for k in itertools.count():
+        tmp = f"{path}.tmp{k or ''}"
+        if os.path.realpath(tmp) in taken:
+            continue
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            pass
+
+
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write (path, text) pairs atomically. On failure, remove every file
-    this invocation made, finished outputs and the temporary file of the
-    write that failed, and every directory it made that is left empty, so
-    no partial results survive; then raise a ValueError that names the
-    output and the OS reason. Two outputs that name one file are refused
-    before anything is written."""
+    """Write (path, text) pairs, staged so that a failure leaves every
+    existing file as it was: the outputs' missing directories are made
+    first, then each text goes to a new temporary file beside its output,
+    and only when all are written are they renamed onto the outputs. On
+    failure, remove the temporary files and every directory this call made
+    that is left empty, then raise a ValueError that names the output and
+    the OS reason. Two outputs that name one file, or an output that is a
+    directory, are refused before anything is written."""
     seen = set()
     for path, _ in outputs:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"two outputs would write the same file {path}")
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: Is a directory")
         seen.add(real)
-    made, dirs = [], []
+    staged, dirs = [], []
     try:
-        for path, text in outputs:
+        for path, _ in outputs:
             parent = os.path.dirname(path)
             missing = []
             while parent and not os.path.exists(parent):
@@ -60,14 +79,17 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
             dirs.extend(reversed(missing))
             if missing:
                 os.makedirs(missing[0], exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                made.append(tmp)
+        # staged after every directory exists, so no temporary file takes
+        # the name of a directory that another output needs
+        for path, text in outputs:
+            tmp, fd = _stage(path, seen)
+            staged.append(tmp)
+            with open(fd, "w", encoding="utf-8") as f:
                 f.write(text)
+        for (path, _), tmp in zip(outputs, staged):
             os.replace(tmp, path)
-            made[-1] = path
     except OSError as exc:
-        for name in made:
+        for name in staged:
             try:
                 os.remove(name)
             except OSError:
@@ -172,27 +194,20 @@ def _cmd_evaluate(args):
     t = series.times[result.target_indices]
     outputs = [
         (args.out_csv, ev.errors_to_csv(result, report, t)),
-        (args.out_json, wg.json_text(ev.summary_dict(report, len(result)))),
+        (args.out_json, wg.json_text(ev.summary_dict(report))),
     ]
     if args.svg:
         pred_panels = [
-            {
-                "title": f"{name}: truth vs prediction",
-                "x": t,
-                "curves": [("truth", result.truths[:, k]), ("prediction", result.predictions[:, k])],
-            }
+            (f"{name}: truth vs prediction",
+             [("truth", result.truths[:, k]), ("prediction", result.predictions[:, k])])
             for k, name in enumerate(wg.CHANNELS)
         ]
         err_panels = [
-            {
-                "title": f"{name}: absolute error (mae {report.mae[k]:.4g})",
-                "x": t,
-                "curves": [("abs error", report.abs_errors[:, k])],
-            }
+            (f"{name}: absolute error (mae {report.mae[k]:.4g})", [("abs error", report.abs_errors[:, k])])
             for k, name in enumerate(wg.CHANNELS)
         ]
-        outputs.append((os.path.join(args.svg, "predictions.svg"), svgplot.render_panels(pred_panels)))
-        outputs.append((os.path.join(args.svg, "errors.svg"), svgplot.render_panels(err_panels)))
+        outputs.append((os.path.join(args.svg, "predictions.svg"), svgplot.render_panels(t, pred_panels)))
+        outputs.append((os.path.join(args.svg, "errors.svg"), svgplot.render_panels(t, err_panels)))
     mae = ", ".join(f"{name} {report.mae[k]:.6g}" for k, name in enumerate(wg.CHANNELS))
     return outputs, f"wrote {args.out_csv}, {args.out_json} ({len(result)} points; mae: {mae})"
 
@@ -214,12 +229,8 @@ def _cmd_rest(args):
 
 def _cmd_plot(args):
     series = _read("series", sd.load_series_csv, args.data)
-    t = series.times
-    panels = [
-        {"title": name, "x": t, "curves": [(name, series.samples[:, k])]}
-        for k, name in enumerate(wg.CHANNELS)
-    ]
-    return [(args.out, svgplot.render_panels(panels))], f"wrote {args.out}"
+    panels = [(name, [(name, series.samples[:, k])]) for k, name in enumerate(wg.CHANNELS)]
+    return [(args.out, svgplot.render_panels(series.times, panels))], f"wrote {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lstm import predict_windows
-from .seriesdata import MotionSeries
+from .seriesdata import MotionSeries, lookback_windows
 from .training import ModelArtifact
 from .wavegen import CHANNELS
 
@@ -85,7 +85,6 @@ def predict_series(
 
     x = series.samples
     indices = np.arange(start_index, n, dtype=np.int64)
-    rows = indices[:, None] + np.arange(-lookback, 0)[None, :]
     deviation = x - norm.offset
     # RMS of samples 0..j-1 about the offset, for each target j; hypot keeps
     # the running root-sum-square finite where squaring a sample would overflow,
@@ -93,7 +92,7 @@ def predict_series(
     with np.errstate(over="ignore", invalid="ignore"):
         rms = np.hypot.accumulate(deviation, axis=0)[indices - 1] / np.sqrt(indices)[:, None]
         scale = np.where(rms > 0.0, rms, norm.scale)
-        windows = deviation[rows] / scale[:, None, :]
+        windows = lookback_windows(deviation, lookback)[start_index - lookback:] / scale[:, None, :]
         preds = predict_windows(artifact.params, windows) * scale + norm.offset
     return ForecastResult(target_indices=indices, predictions=preds, truths=x[indices])
 
@@ -108,13 +107,14 @@ def error_report(result: ForecastResult) -> ErrorReport:
     )
 
 
-def summary_dict(report: ErrorReport, count: int) -> dict:
-    """JSON-ready {channel: {mae, max_error}, count} summary."""
+def summary_dict(report: ErrorReport) -> dict:
+    """JSON-ready {channel: {mae, max_error}, count} summary, where count is
+    the number of forecast points."""
     doc = {
         name: {"mae": float(report.mae[k]), "max_error": float(report.max_error[k])}
         for k, name in enumerate(CHANNELS)
     }
-    doc["count"] = count
+    doc["count"] = len(report.abs_errors)
     return doc
 
 

@@ -3,7 +3,9 @@
 A MotionSeries holds the tri-channel samples; make_windows turns it into
 lookback windows paired with next-sample targets; split_series cuts the
 windows at a train/test boundary defined on target indices, so the first
-test prediction consumes the last training samples as history.
+test prediction consumes the last training samples as history. The windows
+are read-only views of the series' samples (lookback_windows), so neither
+windowing nor splitting copies them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .wavegen import CHANNELS, WaveModel, evaluate_model_array
 
@@ -73,11 +76,12 @@ class WindowedDataset:
     """Lookback windows and their next-sample targets.
 
     inputs[k] holds source samples target_indices[k]-lookback .. target_indices[k]-1,
-    targets[k] is source sample target_indices[k].
+    targets[k] is source sample target_indices[k]. inputs is a read-only view
+    of the source samples; targets is a copy.
     """
 
     lookback: int
-    inputs: np.ndarray  # (m, lookback, 3)
+    inputs: np.ndarray  # (m, lookback, 3), read-only view
     targets: np.ndarray  # (m, 3)
     target_indices: np.ndarray  # (m,) int64, indices into the source series
 
@@ -89,6 +93,12 @@ class WindowedDataset:
         return len(self.target_indices)
 
 
+def lookback_windows(samples: np.ndarray, lookback: int) -> np.ndarray:
+    """Read-only (n - lookback, lookback, 3) view of (n, 3) samples: window
+    k holds samples k .. k+lookback-1, the history of target k+lookback."""
+    return sliding_window_view(samples[:-1], lookback, axis=0).transpose(0, 2, 1)
+
+
 def make_windows(series: MotionSeries, lookback: int) -> WindowedDataset:
     """One window per target index in [lookback, n-1]; count = n - lookback."""
     if lookback < 1:
@@ -96,14 +106,11 @@ def make_windows(series: MotionSeries, lookback: int) -> WindowedDataset:
     n = len(series)
     if n <= lookback:
         raise ValueError(f"series length {n} must exceed lookback {lookback}")
-    x = series.samples
     target_indices = np.arange(lookback, n, dtype=np.int64)
-    # (m, lookback) index table: row k covers samples k .. k+lookback-1
-    rows = np.arange(n - lookback)[:, None] + np.arange(lookback)[None, :]
     return WindowedDataset(
         lookback=lookback,
-        inputs=x[rows],
-        targets=x[target_indices],
+        inputs=lookback_windows(series.samples, lookback),
+        targets=series.samples[target_indices],
         target_indices=target_indices,
     )
 
@@ -141,17 +148,12 @@ def split_series(
         raise ValueError(
             f"boundary {boundary} leaves an empty side (target indices span {lo}..{hi})"
         )
-    in_train = idx < boundary
-
-    def subset(mask: np.ndarray) -> WindowedDataset:
-        return WindowedDataset(
-            lookback=windows.lookback,
-            inputs=windows.inputs[mask],
-            targets=windows.targets[mask],
-            target_indices=windows.target_indices[mask],
-        )
-
-    return SplitDataset(train=subset(in_train), test=subset(~in_train), boundary_index=boundary)
+    cut = int(np.searchsorted(idx, boundary))
+    train, test = (
+        WindowedDataset(windows.lookback, windows.inputs[part], windows.targets[part], idx[part])
+        for part in (slice(None, cut), slice(cut, None))
+    )
+    return SplitDataset(train=train, test=test, boundary_index=boundary)
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,9 @@ def load_series_csv(path) -> MotionSeries:
         raise ValueError("cannot infer dt from a single row")
     dt = float(times[1]) - float(times[0])
     series = MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
-    atol = 1e-9 * max(1.0, float(np.abs(times).max()))
+    # a quarter period at most, so a dropped or repeated row (off by dt, or
+    # by dt/2 when it is row 1 and doubles dt) fails even at large t0
+    atol = min(1e-9 * max(1.0, float(np.abs(times).max())), 0.25 * dt)
     # a difference that overflows is inf, which fails the check as it should
     with np.errstate(over="ignore"):
         uniform = np.allclose(times, series.times, rtol=0.0, atol=atol)

@@ -40,37 +40,42 @@ def _offsets(values: np.ndarray, vmin: float, vmax: float, extent: float) -> np.
     """Pixel offsets (values - vmin) * extent / (vmax - vmin).
 
     Finite data whose span overflows float64 (values near +-1.8e308) is
-    mapped on halved values, which is exact and cannot overflow; any other
-    span is mapped as it is.
+    mapped on halved values, which is exact and cannot overflow; a span so
+    small that extent / span overflows (subnormal data) is divided first;
+    any other span is mapped as it is.
     """
     k = 1.0 if math.isfinite(vmax - vmin) else 0.5
-    return (values * k - vmin * k) * (extent / (vmax * k - vmin * k))
+    span = vmax * k - vmin * k
+    ratio = extent / span
+    if not math.isfinite(ratio):
+        return (values * k - vmin * k) / span * extent
+    return (values * k - vmin * k) * ratio
 
 
-def render_panels(panels: list[dict]) -> str:
-    """Stack line-chart panels in one SVG document.
+def render_panels(x, panels: list[tuple[str, list]]) -> str:
+    """Stack line-chart panels that share the x axis x in one SVG document.
 
-    Each panel is {"title": str, "x": array, "curves": [(label, array), ...]}.
+    Each panel is a (title, [(label, y), ...]) pair, where every y has the
+    length of x.
     """
+    x = np.asarray(x, dtype=np.float64)
     height = _PANEL_HEIGHT * len(panels)
+    ax_left = _MARGIN_LEFT
+    ax_right = _WIDTH - _MARGIN_RIGHT
+    xmin, xmax = _limits(x)
+    # Python floats from tolist() format faster than numpy scalars, same text
+    px = [_fmt(v) for v in (ax_left + _offsets(x, xmin, xmax, ax_right - ax_left)).tolist()]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="0 0 {_WIDTH} {height}">',
         f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
     ]
-    for pi, panel in enumerate(panels):
-        x = np.asarray(panel["x"], dtype=np.float64)
-        curves = [(label, np.asarray(y, dtype=np.float64)) for label, y in panel["curves"]]
+    for pi, (title, curves) in enumerate(panels):
+        curves = [(label, np.asarray(y, dtype=np.float64)) for label, y in curves]
         top = pi * _PANEL_HEIGHT
         ax_top = top + _MARGIN_TOP
         ax_bottom = top + _PANEL_HEIGHT - _MARGIN_BOTTOM
-        ax_left = _MARGIN_LEFT
-        ax_right = _WIDTH - _MARGIN_RIGHT
-
-        xmin, xmax = _limits(x)
         ymin, ymax = _limits(np.concatenate([y for _, y in curves]))
-        # Python floats from tolist() format faster than numpy scalars, same text
-        px = (ax_left + _offsets(x, xmin, xmax, ax_right - ax_left)).tolist()
 
         parts.append(
             f'<g stroke="#444" stroke-width="1">'
@@ -80,7 +85,7 @@ def render_panels(panels: list[dict]) -> str:
         )
         parts.append(
             f'<text x="{ax_left}" y="{top + 18}" font-family="sans-serif" '
-            f'font-size="13" fill="#000">{panel["title"]}</text>'
+            f'font-size="13" fill="#000">{title}</text>'
         )
         parts.append(
             f'<g font-family="sans-serif" font-size="10" fill="#444">'
@@ -94,7 +99,7 @@ def render_panels(panels: list[dict]) -> str:
         for ci, (label, y) in enumerate(curves):
             color = _COLORS[ci % len(_COLORS)]
             py = ax_bottom - _offsets(y, ymin, ymax, ax_bottom - ax_top)
-            pts = " ".join(f"{_fmt(xi)},{_fmt(yi)}" for xi, yi in zip(px, py.tolist()))
+            pts = " ".join(f"{xi},{_fmt(yi)}" for xi, yi in zip(px, py.tolist()))
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
             )

@@ -496,7 +496,7 @@ def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
     root, series, model, _ = pipeline
     out_csv = tmp_path / "errors.csv"
     blocked = tmp_path / "blocked.json"
-    blocked.mkdir()  # writing to a directory path fails after the CSV is written
+    blocked.mkdir()  # an output that is a directory is refused before any write
     code = run(
         "evaluate", "--model", model, "--data", series,
         "--out-csv", out_csv, "--out-json", blocked, "--quiet",
@@ -513,7 +513,7 @@ def test_failed_command_removes_partial_outputs(pipeline, tmp_path):
 def test_failed_command_removes_directories_it_made(pipeline, tmp_path):
     root, series, model, _ = pipeline
     blocked = tmp_path / "blocked.json"
-    blocked.mkdir()  # the JSON write fails after the CSV is written
+    blocked.mkdir()  # refused before the CSV's directories are made
     kept = tmp_path / "kept"
     kept.mkdir()
     code = run(
@@ -524,6 +524,67 @@ def test_failed_command_removes_directories_it_made(pipeline, tmp_path):
     # the directories the command made are gone; the one that was there stays
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked.json", "kept"]
     assert not any(kept.iterdir())
+
+
+def test_failed_write_removes_directories_it_made(pipeline, tmp_path, capsys):
+    root, series, model, _ = pipeline
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"kept")
+    code = run(
+        "evaluate", "--model", model, "--data", series,
+        "--out-csv", tmp_path / "new" / "deeper" / "e.csv", "--out-json", plain / "e.json", "--quiet",
+    )
+    assert code == 1
+    # the JSON's parent is a regular file, so its write fails after the
+    # CSV's directories were made and its temporary file written
+    assert capsys.readouterr().err == f"deckmotion: error: cannot write {plain / 'e.json'}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+    assert plain.read_bytes() == b"kept"
+
+
+def test_failed_command_keeps_an_existing_output(pipeline, tmp_path):
+    root, series, model, _ = pipeline
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"kept")
+    (tmp_path / "blk.json").mkdir()
+    code = run(
+        "evaluate", "--model", model, "--data", series,
+        "--out-csv", old, "--out-json", tmp_path / "blk.json", "--quiet",
+    )
+    assert code == 1
+    assert old.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blk.json", "old.csv"]
+
+
+def test_output_named_like_a_temporary_file(pipeline, tmp_path, capsys):
+    root, series, model, _ = pipeline
+    out_dir = tmp_path / "o"
+    code = run(
+        "evaluate", "--model", model, "--data", series,
+        "--out-csv", out_dir / "e.json.tmp", "--out-json", out_dir / "e.json",
+    )
+    assert code == 0
+    assert capsys.readouterr().err.startswith(f"wrote {out_dir / 'e.json.tmp'}, {out_dir / 'e.json'} ")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["e.json", "e.json.tmp"]
+    assert (out_dir / "e.json.tmp").read_text().startswith("t,channel,truth,prediction,abs_error\n")
+    assert json.loads((out_dir / "e.json").read_text())["count"] == 380
+    # nor does a temporary file take a directory that another output needs
+    assert run("simulate", "--n", 20, "--out", out_dir / "s", "--save-model", out_dir / "s.tmp" / "w.json") == 0
+    assert (out_dir / "s").read_text().startswith("t,heave,pitch,roll\n")
+    assert sorted(p.name for p in (out_dir / "s.tmp").iterdir()) == ["w.json"]
+
+
+def test_write_leaves_a_file_named_like_its_temporary_file(pipeline, tmp_path):
+    root, series, model, _ = pipeline
+    user = tmp_path / "fig.svg.tmp"
+    user.write_bytes(b"kept")
+    assert run("plot", "--data", series, "--out", tmp_path / "fig.svg", "--quiet") == 0
+    assert user.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig.svg", "fig.svg.tmp"]
+    # an output gets the mode the umask gives a new file, as open() would
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / "fig.svg").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_failed_write_names_the_output(pipeline, tmp_path, capsys):

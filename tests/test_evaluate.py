@@ -209,7 +209,7 @@ def test_errors_csv_format(knox_series):
 def test_summary_dict(knox_series):
     artifact = zero_artifact()
     result = ev.predict_series(artifact, knox_series, 40)
-    doc = ev.summary_dict(ev.error_report(result), len(result))
+    doc = ev.summary_dict(ev.error_report(result))
     assert doc["count"] == 1960
     for name in wg.CHANNELS:
         assert set(doc[name]) == {"mae", "max_error"}

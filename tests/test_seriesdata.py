@@ -111,6 +111,14 @@ def test_split_rejects_empty_sides():
         sd.split_series(w, 1.5, 50)
 
 
+def test_windows_are_read_only_views_of_the_series(knox_series):
+    w = sd.make_windows(knox_series, 40)
+    split = sd.split_series(w, 0.7, len(knox_series))
+    for inputs in (w.inputs, split.train.inputs, split.test.inputs):
+        assert np.shares_memory(inputs, knox_series.samples)
+        assert not inputs.flags.writeable
+
+
 def test_fit_normalizer_degenerate_channels():
     s = sd.MotionSeries(dt=0.1, samples=np.zeros((10, 3)))
     norm = sd.fit_normalizer(s, 10)
@@ -231,3 +239,25 @@ def test_csv_rejects_nonuniform_times(tmp_path):
     path.write_text("t,heave,pitch,roll\n0.0,0,0,0\n0.1,0,0,0\n0.35,0,0,0\n")
     with pytest.raises(ValueError):
         sd.load_series_csv(path)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.7e9])
+def test_csv_rejects_dropped_or_repeated_row(tmp_path, t0):
+    # at t0 = 1.7e9, 1e-9 * max|t| is 1.7 s, 17 periods at 10 Hz; dropping
+    # row 1 doubles dt, so the rows after it are off by half the read dt
+    times = t0 + np.arange(200) * 0.1
+    path = tmp_path / "gap.csv"
+    for row in (1, 100):
+        for bad in (np.delete(times, row), np.insert(times, row, times[row])):
+            path.write_text(sd.series_to_csv(bad, np.zeros((len(bad), 3))))
+            with pytest.raises(ValueError, match="not uniformly spaced"):
+                sd.load_series_csv(path)
+
+
+def test_csv_loads_long_time_column_at_epoch_times(tmp_path):
+    times = 1.7e9 + np.arange(20_000) * 0.1
+    path = tmp_path / "epoch.csv"
+    path.write_text(sd.series_to_csv(times, np.zeros((len(times), 3))))
+    s = sd.load_series_csv(path)
+    assert len(s) == 20_000
+    assert s.t0 == times[0] and s.dt == times[1] - times[0]
