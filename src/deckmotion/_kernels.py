@@ -48,7 +48,10 @@ Array conventions shared by all kernels (everything float64):
   w_out  (K, H)        linear output head
   b_out  (K,)
   acts   (L, 7, B, H)  lstm_forward's activation cache: acts[t] holds the
-                       slots i, f, o, g, c, tanh(c), h of step t
+                       slots i, f, o, g, c_prev, tanh(c), h of step t:
+                       c_prev = c_{t-1} is the cell state the step reads,
+                       zero at t = 0, and c = c_t the one it makes, which
+                       acts[t + 1] keeps; the last c is not kept
 Gate math per step, with z = x_t wx^T + h wh^T + b in model order:
 i = sigmoid, f = sigmoid, g = tanh (cell candidate), o = sigmoid, where
 sigmoid(z) = 1 / (1 + exp(-z)); c' = f*c + i*g; h' = o*tanh(c').
@@ -63,8 +66,9 @@ so each product, sum and bias add of -z is the negation of that of z, and
 exp sees the bits of -z that the expression computes. np.reciprocal(v) is
 1 / v correctly rounded, as np.divide(1.0, v) is, so the two give the same
 bits. A slot-major cache keeps one step's i, f and o in one contiguous
-block, the output of that fused sigmoid. Model files and lstm_backward's
-gradients keep the model order.
+block, the output of that fused sigmoid, and c_{t-1} right after g_t, so
+that lstm_backward takes dc * g and dc * c_{t-1} in one multiply. Model
+files and lstm_backward's gradients keep the model order.
 
 Two parts of z do not wait on the recurrence, and _recur takes them out
 of the step:
@@ -144,17 +148,21 @@ def _gate_weights(wx, wh, b, rows):
     return wxf.T, whf.T, brows
 
 
-def _recur(wxt, wht, brows, x, acts, proj, zh):
+def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
     """Run the recurrence over x from a zero state; return the last h (B, H).
 
     wxt, wht and brows are _gate_weights' output, brows cut to the block's
     B rows; acts, proj and zh are _scratch's buffers, cut likewise. A 3-D
     wht takes the recurrent product per gate with np.matmul, a 2-D one takes
     it fused with np.dot; the choice is made once per call. acts is
-    an (S, 7, B, H) array: step t writes i, f, o, g, c, tanh(c) and h into
-    acts[t % S], so S = L keeps every step for lstm_backward and S = 1
-    keeps only the latest. The zero state is written into the slot step L - 1
-    fills, which with S = 1 is the one every step overwrites in place. proj
+    an (S, 7, B, H) array: step t reads c_{t-1} from the c slot of
+    acts[t % S], writes i, f, o, g, tanh(c) and h into the other slots, and
+    writes c_t into the c slot of the next one, so S = L keeps every step
+    for lstm_backward and S = 1 keeps only the latest, updating c in place.
+    The zero state is written into acts[0]'s c slot and into the h slot that
+    step L - 1 fills. The last step writes its c into c_last, a (B, H)
+    buffer, or, by default, into acts[0]'s c slot: a cache of S = L slots
+    passes c_last, so that c_{-1} = 0 survives the call, at L = 1 too. proj
     is (n, B, 4H): one GEMM writes the input projections of the next n steps
     into it, and each of those steps adds its recurrent product zh (B, 4H)
     and the bias in place. A step allocates nothing, and evaluates the gate
@@ -170,12 +178,17 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     zsv = proj[:, :, : 3 * H].reshape(n, B, 3, H).swapaxes(1, 2)
     zgv = proj[:, :, 3 * H :]
     slots = [(slot[:3], *slot) for slot in acts]
+    # with one slot, the c a step writes is the very view object it reads:
+    # with a second view of the same block as the output, a B=1 forecast
+    # ran 3% slower
+    c_next = [slot[5] for slot in slots[1:]] + [slots[0][5] if c_last is None else c_last]
+    slots = [(*slot, c_t) for slot, c_t in zip(slots, c_next)]
     if wht.ndim == 3:
         rec, rec_out = np.matmul, zh.reshape(B, 4, H).transpose(1, 0, 2)
     else:
         rec, rec_out = np.dot, zh
-    c, h = acts[-1, 4], acts[-1, 6]
-    c[...] = 0.0
+    h = acts[-1, 6]
+    acts[0, 4] = 0.0
     h[...] = 0.0
     for s in range(0, L, n):
         m = min(n, L - s)
@@ -183,7 +196,7 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
         # a row's views are made as its step comes, so that the memory a
         # call takes does not grow with n
         for t, zx, zs, zg in zip(range(s, s + m), proj, zsv, zgv):
-            ifo, i, f, o, g, c_t, tc, h_t = slots[t % len(slots)]
+            ifo, i, f, o, g, c, tc, h_t, c_t = slots[t % len(slots)]
             rec(h, wht, rec_out)
             zx += zh
             zx += brows
@@ -196,7 +209,7 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
             c_t += tc
             np.tanh(c_t, tc)
             np.multiply(o, tc, h_t)
-            c, h = c_t, h_t
+            h = h_t
     return h
 
 
@@ -214,12 +227,14 @@ def lstm_forward(wx, wh, b, w_out, b_out, x):
     """Forward pass over a window batch, keeping per-step activations.
 
     Returns (y, acts): the (B, K) head output and the (L, 7, B, H) cache
-    whose acts[t] holds i, f, o, g, c, tanh(c) and h of step t, which
-    lstm_backward takes.
+    whose acts[t] holds i, f, o, g, c_{t-1}, tanh(c_t) and h_t of step t,
+    which lstm_backward takes.
     """
     L, B, _ = x.shape
-    acts, proj, zh = _scratch(B, wh.shape[1], L, L)
-    h = _recur(*_gate_weights(wx, wh, b, B), x, acts, proj, zh)
+    H = wh.shape[1]
+    acts, proj, zh = _scratch(B, H, L, L)
+    # nothing reads the last step's c
+    h = _recur(*_gate_weights(wx, wh, b, B), x, acts, proj, zh, np.empty((B, H)))
     return np.dot(h, w_out.T) + b_out, acts
 
 
@@ -229,11 +244,22 @@ def lstm_backward(wx, wh, w_out, x, acts, dy):
     acts is the (L, 7, B, H) activation cache lstm_forward returned, and dy
     is d(loss)/d(head output), shape (B, K). Returns stacked gradients
     (d_wx, d_wh, d_b, d_wout, d_bout) matching the parameter layout, whose
-    gate blocks are in model order i, f, g, o.
+    gate blocks are in model order i, f, g, o. acts is only read.
+
+    A step reads its slots in pairs: dh times (tanh(c), o) gives the o
+    gate's dh * tanh(c) and dh * o in one multiply, (g, tanh(c)) squared gives
+    both 1 - x^2 factors, and dc times (g, c_{t-1}), which the cache keeps
+    side by side, gives the i and f gates' dc * g and dc * c_{t-1}. The
+    derivatives (d*s)*(1-s) of the three sigmoid gates then run as one pass
+    over the (3, B, H) i, f, o block and are written into dz through
+    strided views. Every product is grouped as in the chain rule written out
+    in model order, so the gradients are bit-identical to it. The buffers,
+    and the views a step writes through, are made once per call, and step 0
+    skips dh and dc * f, which nothing reads.
     """
     L, B, _ = x.shape
     H = wh.shape[1]
-    c, h = acts[:, 4], acts[:, 6]
+    h = acts[:, 6]
     d_wx = np.zeros_like(wx)
     d_wh = np.zeros_like(wh)
     d_b = np.zeros(4 * H)
@@ -241,27 +267,41 @@ def lstm_backward(wx, wh, w_out, x, acts, dy):
     d_bout = dy.sum(axis=0)
     dh = np.dot(dy, w_out)
     dc = np.zeros((B, H))
+    # d4 holds the factor d of (d*s)*(1-s) for s = i, f, o, then dh * o;
+    # sq holds 1 - g^2 and 1 - tanh(c)^2, s3 holds 1 - s, and dg holds dc * i
+    d4, sq, s3 = np.empty((4, B, H)), np.empty((2, B, H)), np.empty((3, B, H))
+    d_ifo, d_if, d_o, dho, do_dho = d4[:3], d4[:2], d4[2], d4[3], d4[2:]
+    sq_g, sq_c, s_if, s_o = sq[0], sq[1], s3[:2], s3[2]
+    dg = np.empty((B, H))
     dz = np.empty((B, 4 * H))
-    for t in range(L - 1, -1, -1):
-        i, f, o, g, _, tct, _ = acts[t]
-        do = dh * tct
-        dc = dc + dh * o * (1.0 - tct * tct)
-        di = dc * g
-        dg = dc * i
-        if t > 0:
-            df = dc * c[t - 1]
-        else:
-            df = dc * 0.0  # initial cell state is zero
-        dz[:, :H] = di * i * (1.0 - i)
-        dz[:, H : 2 * H] = df * f * (1.0 - f)
-        dz[:, 2 * H : 3 * H] = dg * (1.0 - g * g)
-        dz[:, 3 * H :] = do * o * (1.0 - o)
-        d_wx += np.dot(dz.T, x[t])
-        if t > 0:
-            d_wh += np.dot(dz.T, h[t - 1])
+    dzt = dz.T
+    # dz's gate blocks as (B, H) views, model order i, f, g, o; a step
+    # writes each once, as an in-place op on a strided view is slow
+    dz_if, dz_g, dz_o = dz.reshape(B, 4, H).swapaxes(0, 1)[:2], dz[:, 2 * H : 3 * H], dz[:, 3 * H :]
+    # per step, last first: its slot views i, f, o | g, c_{t-1} | tanh(c), o
+    # | g, tanh(c) | i | f, its input, and h_{t-1}, which step 0 has not
+    r = acts[::-1]
+    steps = zip(r[:, :3], r[:, 3:5], r[:, 5:1:-3], r[:, 3::2], r[:, 0], r[:, 1], x[::-1], [*h[-2::-1], None])
+    for ifo, gc, tco, gtc, i, f, xt, h_prev in steps:
+        np.multiply(dh, tco, do_dho)
+        np.multiply(gtc, gtc, sq)
+        np.subtract(1.0, sq, sq)
+        np.multiply(dho, sq_c, dho)
+        dc += dho
+        np.multiply(dc, gc, d_if)
+        np.multiply(d_ifo, ifo, d_ifo)
+        np.subtract(1.0, ifo, s3)
+        np.multiply(d_if, s_if, dz_if)
+        np.multiply(d_o, s_o, dz_o)
+        np.multiply(dc, i, dg)
+        np.multiply(dg, sq_g, dz_g)
+        d_wx += np.dot(dzt, xt)
         d_b += dz.sum(axis=0)
-        dh = np.dot(dz, wh)
-        dc = dc * f
+        # nothing reads step 0's dh or dc * f
+        if h_prev is not None:
+            d_wh += np.dot(dzt, h_prev)
+            np.dot(dz, wh, dh)
+            np.multiply(dc, f, dc)
     return d_wx, d_wh, d_b, d_wout, d_bout
 
 

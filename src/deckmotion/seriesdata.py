@@ -222,6 +222,26 @@ def series_to_csv(times: np.ndarray, samples: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _uniformly_spaced(times: np.ndarray) -> bool:
+    """Whether a t column of two or more rows is t0 + k dt, with t0 = t[0]
+    and dt = t[1] - t[0] as load_series_csv reads them. Each time must be
+    within a quarter period of t0 + k dt, widened by k times the rounding
+    that dt carries from t0 and t1, one spacing of the larger, so times
+    off their grid by up to a quarter period make steps off dt by up to
+    half of one. Each step must be within half a period of dt, so that a
+    dropped or repeated row (a step of 2 dt or 0) fails anywhere in the
+    column, even where the widened tolerance passes a whole period."""
+    t0, t1 = float(times[0]), float(times[1])
+    dt = t1 - t0
+    k = np.arange(len(times))
+    atol = min(1e-9 * max(1.0, float(np.abs(times).max())), 0.25 * dt)
+    drift = k * np.spacing(max(abs(t0), abs(t1)))
+    # a difference that overflows is inf, which fails the check as it should
+    with np.errstate(over="ignore"):
+        steady = np.all(np.abs(np.diff(times) - dt) <= 0.5 * dt)
+        return bool(steady and np.all(np.abs(times - (t0 + k * dt)) <= atol + drift))
+
+
 def load_series_csv(path) -> MotionSeries:
     """Read a t,heave,pitch,roll CSV; t0 and dt come from the t column, so
     the file needs at least two rows."""
@@ -244,12 +264,6 @@ def load_series_csv(path) -> MotionSeries:
         raise ValueError("cannot infer dt from a single row")
     dt = float(times[1]) - float(times[0])
     series = MotionSeries(dt=dt, samples=rows[:, 1:], t0=float(times[0]))
-    # a quarter period at most, so a dropped or repeated row (off by dt, or
-    # by dt/2 when it is row 1 and doubles dt) fails even at large t0
-    atol = min(1e-9 * max(1.0, float(np.abs(times).max())), 0.25 * dt)
-    # a difference that overflows is inf, which fails the check as it should
-    with np.errstate(over="ignore"):
-        uniform = np.allclose(times, series.times, rtol=0.0, atol=atol)
-    if not uniform:
+    if not _uniformly_spaced(times):
         raise ValueError(f"t column is not uniformly spaced at dt={dt}")
     return series

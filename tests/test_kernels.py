@@ -15,7 +15,8 @@ from deckmotion.lstm import LstmConfig, init_params
 from oracles import bptt_oracle, recurrence_oracle
 
 
-# acts[t] of lstm_forward's cache holds these, in this order
+# acts[t] of lstm_forward's cache holds these of step t, in this order,
+# where c is c_{t-1}, the cell state the step reads
 SLOTS = ("i", "f", "o", "g", "c", "tanh_c", "h")
 
 
@@ -57,12 +58,13 @@ def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
     # several steps at once, run one sigmoid over the i, f, o slots and, at
     # H=32 and 64, take the recurrent product per gate; every value must
     # still equal the model-order expressions bit for bit, including gates
-    # that saturate at 0 and 1. Neither lookback is 7, so that an
-    # (L, 7, B, H) cache is told from (7, L, B, H); at 13, B=32 projects its
-    # inputs in stretches of 7 and 6 steps. At H=64, 244 and 245 rows sit on
-    # either side of the per-gate product's 10^6 bound
+    # that saturate at 0 and 1. No lookback is 7, so that an (L, 7, B, H)
+    # cache is told from (7, L, B, H); at 13, B=32 projects its inputs in
+    # stretches of 7 and 6 steps; at 1 the cache has one slot, as the
+    # uncached pass does, and must still keep the zero c_{-1}. At H=64, 244
+    # and 245 rows sit on either side of the per-gate product's 10^6 bound
     batches = (1, 2, 5, 32, 244, 245, 255, 256, 257, 1960)
-    for lookback, batch in itertools.product((5, 13), batches):
+    for lookback, batch in itertools.product((1, 5, 13), batches):
         params, x = _random_case(hidden + batch, hidden=hidden, lookback=lookback, batch=batch)
         if saturated:
             x = np.where(x < 0.0, -1e4, 1e4)
@@ -79,7 +81,12 @@ def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
         assert np.array_equal(y_pred, y_ref), (lookback, batch)
         assert np.array_equal(h, h_ref), (lookback, batch)
         for k, name in enumerate(SLOTS):
-            assert np.array_equal(acts[:, k], stacks[name]), (lookback, batch, name)
+            if name == "c":
+                # acts[t] keeps c_{t-1}: the zero state, then every c but the last
+                assert not acts[0, k].any(), (lookback, batch)
+                assert np.array_equal(acts[1:, k], stacks["c"][:-1]), (lookback, batch)
+            else:
+                assert np.array_equal(acts[:, k], stacks[name]), (lookback, batch, name)
 
 
 @pytest.mark.parametrize("hidden", [3, 8, 64])
@@ -87,9 +94,10 @@ def test_forward_is_bit_identical_to_model_order_recurrence(hidden, saturated):
 def test_backward_is_bit_identical_to_model_order_bptt(hidden, saturated):
     # the gradients decide the model file's bytes, so lstm_backward must
     # equal BPTT written out in model order bit for bit, not only to within
-    # the tolerance of a finite-difference check
-    lookback = 5
-    for batch in (1, 2, 5, 32, 255, 256, 257, 1960):
+    # the tolerance of a finite-difference check; at lookback 1 the one
+    # step's f gradient reads the zero c_{-1}
+    batches = (1, 2, 5, 32, 255, 256, 257, 1960)
+    for lookback, batch in itertools.product((1, 5), batches):
         params, x = _random_case(hidden + batch, hidden=hidden, lookback=lookback, batch=batch)
         if saturated:
             x = np.where(x < 0.0, -1e4, 1e4)
@@ -101,7 +109,20 @@ def test_backward_is_bit_identical_to_model_order_bptt(hidden, saturated):
         grads = K.lstm_backward(params.wx, params.wh, params.w_out, x, acts, dy)
         expected = bptt_oracle(params.wx, params.wh, params.w_out, x, stacks, dy)
         for name, got, want in zip(("d_wx", "d_wh", "d_b", "d_wout", "d_bout"), grads, expected):
-            assert np.array_equal(got, want), (batch, name)
+            assert np.array_equal(got, want), (lookback, batch, name)
+
+
+@pytest.mark.parametrize("lookback", [1, 5])
+def test_backward_only_reads_the_cache(lookback):
+    # lstm_backward works in place in buffers of its own; the cache must
+    # come back byte for byte, and a second call must give the same bytes
+    params, x = _random_case(5, hidden=64, lookback=lookback, batch=32)
+    dy = np.random.default_rng(5).normal(size=(32, 3))
+    _, acts = K.lstm_forward(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+    cache = acts.tobytes()
+    grads = [K.lstm_backward(params.wx, params.wh, params.w_out, x, acts, dy) for _ in range(2)]
+    assert acts.tobytes() == cache
+    assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in grads[1]]
 
 
 @pytest.mark.parametrize("batch", [1, 196, 245])

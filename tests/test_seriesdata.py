@@ -255,9 +255,38 @@ def test_csv_rejects_dropped_or_repeated_row(tmp_path, t0):
 
 
 def test_csv_loads_long_time_column_at_epoch_times(tmp_path):
-    times = 1.7e9 + np.arange(20_000) * 0.1
+    # at 300,000 rows dt's rounding has drifted t0 + k dt past a quarter
+    # step from the file's times, which must still load
     path = tmp_path / "epoch.csv"
+    for n in (20_000, 300_000):
+        times = 1.7e9 + np.arange(n) * 0.1
+        path.write_text(sd.series_to_csv(times, np.zeros((n, 3))))
+        s = sd.load_series_csv(path)
+        assert len(s) == n
+        assert s.t0 == times[0] and s.dt == times[1] - times[0]
+
+
+def test_csv_loads_jittered_times_at_epoch_times(tmp_path):
+    # each time within a quarter step of t0 + k dt, alternating 15 ms early
+    # and late from row 2 on, so consecutive steps differ from dt by 30 ms
+    times = 1.7e9 + np.arange(200) * 0.1
+    times[2::2] += 0.015
+    times[3::2] -= 0.015
+    path = tmp_path / "jitter.csv"
     path.write_text(sd.series_to_csv(times, np.zeros((len(times), 3))))
-    s = sd.load_series_csv(path)
-    assert len(s) == 20_000
-    assert s.t0 == times[0] and s.dt == times[1] - times[0]
+    assert len(sd.load_series_csv(path)) == len(times)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.7e9])
+@pytest.mark.parametrize("n", [200_000, 300_000, 1_000_000])
+def test_long_time_columns_pass_and_a_late_gap_fails(t0, n):
+    # dt = t1 - t0 carries the rounding of t0 and t1, which t0 + k dt
+    # multiplies by k: at t0 = 1.7e9 a 10 Hz column drifts 0.029 s from its
+    # own times by row 300,000, past a quarter step. That drift passes, and
+    # a row dropped or repeated 100 rows from the end still fails. The
+    # float64 times are those series_to_csv writes, which read back exactly
+    times = t0 + np.arange(n) * 0.1
+    assert sd._uniformly_spaced(times)
+    row = n - 100
+    assert not sd._uniformly_spaced(np.delete(times, row))
+    assert not sd._uniformly_spaced(np.insert(times, row, times[row]))
