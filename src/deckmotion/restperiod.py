@@ -5,12 +5,15 @@ if a heave-rate limit is set, the vertical velocity (central differences,
 one-sided at the ends) does too. Heave enters through its rate rather than
 its displacement: a steadily elevated deck is landable, a fast-moving one
 is not.
+
+A rest period is a maximal run of calm samples. It lasts (last - first) * dt,
+so a lone calm sample lasts 0 s, and is kept if that is >= min_duration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,8 +45,8 @@ class RestCriteria:
 class RestInterval:
     start_index: int  # inclusive
     end_index: int  # inclusive
-    start_time: float
-    end_time: float
+    start_t: float
+    end_t: float
     duration: float  # (end_index - start_index) * dt
 
 
@@ -63,36 +66,23 @@ def calm_mask(samples: np.ndarray, dt: float, criteria: RestCriteria) -> np.ndar
     return mask
 
 
-def _intervals_from_mask(
-    mask: np.ndarray, dt: float, criteria: RestCriteria, first: int, t0: float
+def _rest_periods(
+    samples: np.ndarray, dt: float, criteria: RestCriteria, first: int, t0: float
 ) -> list[RestInterval]:
-    calm = np.flatnonzero(mask)
-    if calm.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(calm) > 1)
-    starts = np.concatenate(([calm[0]], calm[breaks + 1]))
-    ends = np.concatenate((calm[breaks], [calm[-1]]))
-    intervals = []
-    for s, e in zip(starts, ends):
-        duration = float((e - s) * dt)
-        if duration >= criteria.min_duration:
-            si, ei = first + int(s), first + int(e)
-            intervals.append(
-                RestInterval(
-                    start_index=si,
-                    end_index=ei,
-                    start_time=t0 + si * dt,
-                    end_time=t0 + ei * dt,
-                    duration=duration,
-                )
-            )
-    return intervals
+    """Rest periods of samples, whose row 0 is sample index first. In the calm
+    mask padded with rough samples, even edges start a run, odd edges follow it."""
+    edges = np.flatnonzero(np.diff(calm_mask(samples, dt, criteria), prepend=False, append=False))
+    runs = zip((edges[::2] + first).tolist(), (edges[1::2] + (first - 1)).tolist())
+    return [
+        RestInterval(s, e, t0 + s * dt, t0 + e * dt, duration)
+        for s, e in runs
+        if (duration := (e - s) * dt) >= criteria.min_duration
+    ]
 
 
 def detect_rest_periods(series: MotionSeries, criteria: RestCriteria) -> list[RestInterval]:
     """All maximal calm runs of duration >= min_duration, in time order."""
-    mask = calm_mask(series.samples, series.dt, criteria)
-    return _intervals_from_mask(mask, series.dt, criteria, 0, series.t0)
+    return _rest_periods(series.samples, series.dt, criteria, 0, series.t0)
 
 
 def rest_periods_from_forecast(
@@ -100,25 +90,15 @@ def rest_periods_from_forecast(
 ) -> list[RestInterval]:
     """Same rule applied to predicted channels; interval indices refer to
     the source series (the forecast's target indices)."""
-    mask = calm_mask(result.predictions, dt, criteria)
-    return _intervals_from_mask(mask, dt, criteria, int(result.target_indices[0]), t0)
+    return _rest_periods(result.predictions, dt, criteria, int(result.target_indices[0]), t0)
 
 
 def intervals_to_csv(intervals: list[RestInterval]) -> str:
     lines = ["start_t,end_t,duration"]
     for iv in intervals:
-        lines.append(f"{iv.start_time!r},{iv.end_time!r},{iv.duration!r}")
+        lines.append(f"{iv.start_t!r},{iv.end_t!r},{iv.duration!r}")
     return "\n".join(lines) + "\n"
 
 
 def intervals_to_dicts(intervals: list[RestInterval]) -> list[dict]:
-    return [
-        {
-            "start_index": iv.start_index,
-            "end_index": iv.end_index,
-            "start_t": iv.start_time,
-            "end_t": iv.end_time,
-            "duration": iv.duration,
-        }
-        for iv in intervals
-    ]
+    return [asdict(iv) for iv in intervals]

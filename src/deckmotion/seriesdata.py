@@ -126,10 +126,16 @@ class SplitDataset:
 
 def split_boundary(train_fraction: float, n: int) -> int:
     """The train/test boundary round(train_fraction * n) of an n-sample
-    series: training, and the normalizer fit, use samples 0..boundary-1."""
+    series: training, and the normalizer fit, use samples 0..boundary-1,
+    so it must be at least 2."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    return int(round(train_fraction * n))
+    boundary = int(round(train_fraction * n))
+    if boundary < 2:
+        raise ValueError(
+            f"train_fraction {train_fraction} of n={n} samples leaves {boundary} for training; need >= 2"
+        )
+    return boundary
 
 
 def split_series(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,13 +84,11 @@ def evaluate_model_array(model: WaveModel, times: np.ndarray) -> np.ndarray:
         raise ValueError("times must be finite")
     # in Python floats an overflow gives inf, not a numpy warning
     span = float(np.abs(times).max(initial=0.0))
-    for name in CHANNELS:
-        for c in model.channel(name):
-            if not math.isfinite(c.omega * span + abs(c.phase)):
-                raise ValueError(f"phase overflows float64: {name} omega={c.omega!r} over |t| up to {span!r} s")
     out = np.zeros((times.size, 3))
     for k, name in enumerate(CHANNELS):
         for c in model.channel(name):
+            if not math.isfinite(c.omega * span + abs(c.phase)):
+                raise ValueError(f"phase overflows float64: {name} omega={c.omega!r} over |t| up to {span!r} s")
             out[:, k] += c.amplitude * np.sin(c.omega * times + c.phase)
     return out
 
@@ -222,13 +220,7 @@ def wave_model_to_dict(model: WaveModel) -> dict:
     """JSON-ready form: {"label", "channels": {name: [{amplitude, omega, phase}]}}."""
     return {
         "label": model.label,
-        "channels": {
-            name: [
-                {"amplitude": c.amplitude, "omega": c.omega, "phase": c.phase}
-                for c in model.channel(name)
-            ]
-            for name in CHANNELS
-        },
+        "channels": {name: [asdict(c) for c in model.channel(name)] for name in CHANNELS},
     }
 
 

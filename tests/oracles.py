@@ -55,8 +55,8 @@ def scan_oracle(samples, dt, criteria, t0=0.0, index_offset=0):
                     rp.RestInterval(
                         start_index=si,
                         end_index=ei,
-                        start_time=t0 + si * dt,
-                        end_time=t0 + ei * dt,
+                        start_t=t0 + si * dt,
+                        end_t=t0 + ei * dt,
                         duration=duration,
                     )
                 )

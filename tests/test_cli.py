@@ -201,6 +201,11 @@ def test_bad_seed_exits_1(pipeline, tmp_path, capsys):
     for split in ("inf", "1e308", "1.5", "nan", "1", "0"):
         assert run(*train, f"--split={split}") == 1
         assert "train_fraction must be in (0, 1)" in capsys.readouterr().err
+    # so are a split that leaves fewer than 2 training samples and a lookback of 0
+    for flags, message in ((["--split=0.001"], "train_fraction 0.001 of n=400"),
+                           (["--lookback", "0"], "lookback must be >= 1, got 0")):
+        assert run(*train, *flags) == 1
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 

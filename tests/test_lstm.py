@@ -84,6 +84,14 @@ def test_params_validation():
             w_out=np.zeros((3, 5)),  # head width disagrees with hidden_dim
             b_out=np.zeros(3),
         )
+    with pytest.raises(ValueError, match="inconsistent gate-stack shapes"):
+        L.LstmParams(
+            wx=np.zeros((16, 3)),
+            wh=np.zeros((20, 5)),  # hidden 5 under gate stacks sized for hidden 4
+            b=np.zeros(16),
+            w_out=np.zeros((3, 5)),
+            b_out=np.zeros(3),
+        )
     bad = np.zeros((16, 3))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Rest-period detection against a brute-force per-sample oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from deckmotion import restperiod as rp
 from deckmotion import seriesdata as sd
 from deckmotion import wavegen as wg
 from oracles import random_criteria, random_series, scan_oracle
+
+# series start times: the default, a negative one, and an epoch timestamp
+T0S = (0.0, -3.2, 1.7e9)
 
 
 def test_generous_thresholds_give_one_full_interval():
@@ -40,11 +45,11 @@ def test_reference_series_matches_oracle():
 
 def test_random_series_match_oracle():
     rng = np.random.default_rng(123)
-    for _ in range(400):
-        series = random_series(rng)
+    for k in range(400):
+        series = replace(random_series(rng), t0=T0S[k % len(T0S)])
         criteria = random_criteria(rng)
         assert rp.detect_rest_periods(series, criteria) == scan_oracle(
-            series.samples, series.dt, criteria
+            series.samples, series.dt, criteria, t0=series.t0
         )
 
 
@@ -101,7 +106,7 @@ def test_forecast_identical_to_truth_gives_same_intervals():
 
 def test_forecast_intervals_match_oracle_with_offset():
     rng = np.random.default_rng(17)
-    for _ in range(100):
+    for k in range(100):
         n = int(rng.integers(2, 120))
         start = int(rng.integers(1, 40))
         preds = rng.normal(size=(n, 3))
@@ -112,8 +117,9 @@ def test_forecast_intervals_match_oracle_with_offset():
         )
         criteria = random_criteria(rng)
         dt = float(rng.uniform(0.05, 0.3))
-        got = rp.rest_periods_from_forecast(result, dt, criteria)
-        assert got == scan_oracle(preds, dt, criteria, index_offset=start)
+        t0 = T0S[k % len(T0S)]
+        got = rp.rest_periods_from_forecast(result, dt, criteria, t0=t0)
+        assert got == scan_oracle(preds, dt, criteria, t0=t0, index_offset=start)
 
 
 def test_forecast_requires_contiguous_indices():

@@ -73,6 +73,9 @@ def test_make_windows_rejects_short_series():
     s = sd.MotionSeries(dt=0.1, samples=np.zeros((40, 3)))
     with pytest.raises(ValueError):
         sd.make_windows(s, 40)
+    # windows built by hand need one target and one index each
+    with pytest.raises(ValueError, match="equal length"):
+        sd.WindowedDataset(40, np.zeros((2, 40, 3)), np.zeros((1, 3)), np.arange(40, 42))
 
 
 def test_window_target_reconstruction(knox_series):
@@ -219,6 +222,11 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("time,x,y,z\n0,1,2,3\n")
     with pytest.raises(ValueError):
         sd.load_series_csv(path)
+    for text, message in (("t,heave,pitch,roll\n", "no data rows"),
+                          ("t,heave,pitch,roll\n0,1,2,3,4\n0.1,1,2,3,4\n", "expected 4 columns, got 5")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            sd.load_series_csv(path)
 
 
 def test_csv_single_row_needs_dt(tmp_path):

@@ -149,6 +149,14 @@ def test_save_load_round_trip_bitwise(artifact, tmp_path):
     after = L.predict_windows(loaded.params, windows)
     assert np.array_equal(before, after)
 
+    # an integral float in an integer field reads as that integer
+    doc = tr.model_to_dict(artifact)
+    doc["config"]["hidden_dim"] = float(artifact.config.hidden_dim)
+    path.write_text(json.dumps(doc))
+    loaded = tr.load_model(path)
+    assert loaded.config == artifact.config
+    assert np.array_equal(L.predict_windows(loaded.params, windows), before)
+
 
 def test_model_document_schema(artifact, tmp_path):
     path = tmp_path / "model.json"

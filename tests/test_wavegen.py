@@ -23,6 +23,8 @@ def test_knox_model_structure():
         assert all(c.phase == 0.0 for c in m.channel(name))
     assert m.heave[0].amplitude == 0.2172
     assert m.heave[0].omega == 0.4
+    with pytest.raises(ValueError, match="unknown channel 'surge'"):
+        m.channel("surge")
 
 
 def test_knox_model_zero_at_t0():
@@ -242,8 +244,9 @@ def test_malformed_documents_rejected():
         with pytest.raises(ValueError, match="components_per_channel"):
             wg.sea_state_spec_from_dict(doc)
     # float fields take numbers only, not booleans, numeric strings or
-    # integers beyond float64
-    for field, value in (("amplitude", True), ("omega", "0.9"), ("phase", 10**400)):
+    # integers beyond float64; a phase must be finite (JSON 1e999 reads as inf)
+    for field, value in (("amplitude", True), ("omega", "0.9"), ("phase", 10**400),
+                         ("phase", json.loads("1e999"))):
         doc = wg.wave_model_to_dict(wg.knox_training_model())
         doc["channels"]["pitch"][1][field] = value
         with pytest.raises(ValueError, match=field):
