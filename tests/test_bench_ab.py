@@ -1,0 +1,86 @@
+"""tools/bench_ab.py's summary of paired benchmark results, on canned
+result lines; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+METRICS = [
+    {"name": "op_mean_ref", "unit": "ref", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.2},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+]
+
+
+def _line(op, rss, rate, failed=0):
+    metrics = {"op_mean_ref": {"value": op, "unit": "ref"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
+               "rate": {"value": rate, "unit": "1/s"}}
+    return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics})
+
+
+def _runs(ops, rsss, rates, failed=0):
+    out = '{"fingerprint": {}}\n{"run": {}}\n'
+    return [ab.parse_result(out + _line(o, r, q, failed) + "\n") for o, r, q in zip(ops, rsss, rates)]
+
+
+def test_parse_result_reads_the_last_line():
+    result = ab.parse_result('{"fingerprint": {}}\n' + _line(0.5, 50.0, 1.0) + "\n\n")
+    assert ab.value(result, "op_mean_ref") == 0.5
+    for text in ("", "\n", '{"run": {}}\n'):
+        with pytest.raises(ValueError):
+            ab.parse_result(text)
+
+
+def test_summary_applies_the_nine_in_ten_rule():
+    parent_ops = [0.540, 0.541, 0.542, 0.543, 0.544, 0.545, 0.546, 0.547, 0.548, 0.549]
+    # nine wins of ten, each 5% below: a gain
+    change_ops = [x * 0.95 for x in parent_ops[:9]] + [0.6]
+    # RSS 30% higher: worse beyond the 20% bound; rate 5% lower: within 10%
+    parent = _runs(parent_ops, [50.0] * 10, [10.0] * 10)
+    change = _runs(change_ops, [65.0] * 10, [9.5] * 10, failed=1)
+    rows = {row["name"]: row for row in ab.summarize(METRICS, parent, change)}
+    assert rows["op_mean_ref"]["wins"] == 9
+    assert rows["op_mean_ref"]["verdict"] == "gain"
+    assert rows["op_mean_ref"]["parent_median"] == pytest.approx(0.5445)
+    assert rows["op_mean_ref"]["parent_quartiles"] == pytest.approx((0.54225, 0.54675))
+    assert rows["peak_rss_mb"]["verdict"] == "worse"
+    assert rows["peak_rss_mb"]["gap"] == pytest.approx(0.3)
+    assert rows["peak_rss_mb"]["wins"] == 0
+    assert rows["rate"]["verdict"] == "within bound"
+    assert rows["rate"]["gap"] == pytest.approx(0.05)
+    text = ab.report(METRICS, parent, change)
+    assert text.splitlines()[0] == "failed: parent 0/1000, change 10/1000"
+    assert "wins 9/10" in text and ": gain" in text and ": worse" in text
+
+
+def test_summary_wants_more_than_the_parent_spread():
+    # ten wins of ten, but by less than the parent's quartile spread; eight
+    # wins of ten by a wide margin: neither is a gain
+    parent_ops = [0.50, 0.52, 0.54, 0.56, 0.58, 0.60, 0.62, 0.64, 0.66, 0.68]
+    for change_ops in ([x - 0.01 for x in parent_ops], [x * 0.8 for x in parent_ops[:8]] + [0.7, 0.7]):
+        parent = _runs(parent_ops, [50.0] * 10, [10.0] * 10)
+        change = _runs(change_ops, [50.0] * 10, [10.0] * 10)
+        row = ab.summarize(METRICS, parent, change)[0]
+        assert row["verdict"] == "within bound", change_ops
+    # ties count for neither side
+    same = _runs(parent_ops, [50.0] * 10, [10.0] * 10)
+    assert [row["wins"] for row in ab.summarize(METRICS, same, same)] == [0, 0, 0]
+
+
+def test_checkout_paths_must_be_of_equal_length(tmp_path):
+    for name in ("pa", "ch", "parent"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    assert ab.check_dirs(tmp_path / "pa", tmp_path / "ch") == (tmp_path / "pa", tmp_path / "ch")
+    with pytest.raises(ValueError, match="differ in length"):
+        ab.check_dirs(tmp_path / "parent", tmp_path / "ch")
+    with pytest.raises(ValueError, match="no perfbench/run.py"):
+        ab.check_dirs(tmp_path / "pa", tmp_path / "xy")
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "ch"), "--workload", "stream-land"]) == 2

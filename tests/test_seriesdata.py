@@ -1,5 +1,7 @@
 """Series sampling, windowing, the 70/30 split, normalization, CSV I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,64 @@ def test_csv_loads_jittered_times_at_epoch_times(tmp_path):
     path = tmp_path / "jitter.csv"
     path.write_text(sd.series_to_csv(times, np.zeros((len(times), 3))))
     assert len(sd.load_series_csv(path)) == len(times)
+
+
+# subnormal, smallest normal, halfway between doubles, the largest
+# magnitudes, a negative zero, and 17 significant digits
+HARD_FLOATS = ("4.9e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+               "9007199254740993", "9007199254740995", "1e308", "-1e308", "1.7976931348623157e308",
+               "-1.7976931348623157e308", "-0.0", "0.30000000000000004", "1.0000000000000002",
+               "-6.0221407599999997e23", "1.2345678901234567e-89", " 1.5", "2.5 ")
+
+
+def test_csv_values_read_as_float_reads_them(tmp_path):
+    # each value lands in each channel, bit for bit what float() gives
+    path = tmp_path / "hard.csv"
+    n = len(HARD_FLOATS)
+    rows = [f"{k * 0.5!r},{HARD_FLOATS[k]},{HARD_FLOATS[(k + 1) % n]},{HARD_FLOATS[(k + 2) % n]}" for k in range(n)]
+    path.write_text("\n".join([sd.CSV_HEADER, *rows]) + "\n")
+    samples = sd.load_series_csv(path).samples
+    expected = [[float(HARD_FLOATS[(k + j) % n]) for j in range(3)] for k in range(n)]
+    assert samples.tobytes() == np.array(expected).tobytes()
+
+
+def test_csv_skips_blank_lines_and_names_malformed_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n  \nt, heave, pitch, roll\n\t\n0,1,2,3\n\n   \n0.1,1,2,3\n \n")
+    assert len(sd.load_series_csv(path)) == 2
+    for text, message in (("t,heave,pitch,roll\n \n\t\n", "no data rows"),
+                          ("t,heave,pitch,roll\n0,1,2\n0.1,1,2\n", "expected 4 columns, got 3"),
+                          ("t,heave,pitch,roll\n0,1,2,3\n0.1,1,2\n", "malformed CSV row: "),
+                          ("t,heave,pitch,roll\n0,1,2,3\n0.1,1,x,3\n", "malformed CSV row: .*'x'"),
+                          ("t,heave,pitch,roll\n0,1,2,3,\n0.1,1,2,3,\n", "malformed CSV row: "),
+                          # float() alone accepts underscores between digits
+                          # and digits other than ASCII ones
+                          ("t,heave,pitch,roll\n0,1_0,2,3\n0.1,1,2,3\n", "malformed CSV row: .*'1_0'"),
+                          ("t,heave,pitch,roll\n0,\u0661,2,3\n0.1,1,2,3\n", "malformed CSV row: ")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            sd.load_series_csv(path)
+    # a byte that is not UTF-8 is a decoding error, not a malformed row
+    path.write_bytes(b"t,heave,pitch,roll\n" + b"0,1,2,3\n" * 5000 + b"0.1,\xff,2,3\n")
+    with pytest.raises(UnicodeDecodeError):
+        sd.load_series_csv(path)
+
+
+def test_csv_load_memory_is_proportional_to_rows(tmp_path):
+    # the parsed (n, 4) array is 32 bytes a row; loading holds it, the
+    # (n, 3) samples and a few (n,) temporaries of the spacing check, and
+    # no per-row Python objects, which took about 380 bytes a row
+    n = 200_000
+    path = tmp_path / "long.csv"
+    path.write_text(sd.series_to_csv(np.arange(n) * 0.1, np.zeros((n, 3))))
+    sd.load_series_csv(path)  # warm numpy's first-call caches
+    tracemalloc.start()
+    try:
+        assert len(sd.load_series_csv(path)) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 32 * n, peak / n
 
 
 @pytest.mark.parametrize("t0", [0.0, 1.7e9])
