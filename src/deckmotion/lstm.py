@@ -5,9 +5,9 @@ a linear head maps the final hidden state to the joint next-sample
 prediction. Gradients are exact backpropagation through time over the
 whole window, in float64 throughout so finite-difference checks are tight.
 
-Parameters are stored stacked (gate blocks in GATE_NAMES order within the
-leading 4H dimension, matching _kernels); named per-gate views are exposed
-for serialization and inspection.
+Parameters are stored as the kernels run them: the four gate blocks
+stacked along the leading 4H dimension of wx, wh and b, in the order input
+(i), forget (f), cell candidate (g) and output (o).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import as_time_major, lstm_backward, lstm_forward, lstm_predict
-
-GATE_NAMES = ("i", "f", "g", "o")
 
 # Inputs and outputs are both the heave, pitch and roll channels.
 CHANNEL_DIM = 3
@@ -35,13 +33,6 @@ class LstmConfig:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.lookback < 1:
             raise ValueError(f"lookback must be >= 1, got {self.lookback}")
-
-    def named_shapes(self) -> dict[str, tuple[int, ...]]:
-        """The shape of each LstmParams.named() block, in the same order."""
-        H, D, K = self.hidden_dim, CHANNEL_DIM, CHANNEL_DIM
-        per_gate = {"w": (H, D), "u": (H, H), "b": (H,)}
-        gates = {f"{p}_{gate}": shape for gate in GATE_NAMES for p, shape in per_gate.items()}
-        return {**gates, "w_out": (K, H), "b_out": (K,)}
 
 
 @dataclass
@@ -69,27 +60,6 @@ class LstmParams:
     def hidden_dim(self) -> int:
         return self.wh.shape[1]
 
-    def named(self) -> dict[str, np.ndarray]:
-        """Per-gate named views (w_i, u_i, b_i, ... w_out, b_out).
-
-        Views share memory with the stacked arrays, so writing through
-        them mutates the parameters.
-        """
-        H = self.hidden_dim
-        stacked = {"w": self.wx, "u": self.wh, "b": self.b}
-        gates = {
-            f"{p}_{gate}": arr[k * H : (k + 1) * H]
-            for k, gate in enumerate(GATE_NAMES)
-            for p, arr in stacked.items()
-        }
-        return {**gates, "w_out": self.w_out, "b_out": self.b_out}
-
-    @classmethod
-    def from_named(cls, named: dict) -> "LstmParams":
-        """Inverse of named(): stacks the per-gate blocks in GATE_NAMES order."""
-        wx, wh, b = (np.concatenate([named[f"{p}_{gate}"] for gate in GATE_NAMES]) for p in "wub")
-        return cls(wx, wh, b, named["w_out"], named["b_out"])
-
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
 
@@ -112,11 +82,17 @@ def init_params(config: LstmConfig, seed: int) -> LstmParams:
     return LstmParams(wx=wx, wh=wh, b=b, w_out=w_out, b_out=np.zeros(K))
 
 
-def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
-    """Predict a whole (B, L, 3) batch at once; returns (B, 3)."""
+def _kernel_input(windows: np.ndarray) -> np.ndarray:
+    """A (B, L, 3) window batch as the kernels' (L, B, 3) input."""
     x = as_time_major(windows)
     if x.shape[2] != CHANNEL_DIM:
         raise ValueError(f"windows have {x.shape[2]} channels, expected {CHANNEL_DIM}")
+    return x
+
+
+def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
+    """Predict a whole (B, L, 3) batch at once; returns (B, 3)."""
+    x = _kernel_input(windows)
     with np.errstate(over="ignore"):
         return lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
 
@@ -133,7 +109,7 @@ def loss_and_gradients(
         raise ValueError("batch must be a non-empty (B, L, 3) array")
     if targets.shape != (len(windows), CHANNEL_DIM):
         raise ValueError(f"targets shape {targets.shape} does not match batch")
-    x = as_time_major(windows)
+    x = _kernel_input(windows)
     # overflow/invalid are legitimate here: saturated gates are well-defined,
     # and a diverging loss goes non-finite, which the training loop aborts on
     with np.errstate(over="ignore", invalid="ignore"):

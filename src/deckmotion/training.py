@@ -23,6 +23,10 @@ from .wavegen import json_int, json_load, json_object, json_text
 
 FORMAT_VERSION = 1
 
+# the order of the gate blocks stacked in LstmParams, which the model
+# file's per-gate keys spell out
+GATES = ("i", "f", "g", "o")
+
 # Adam's decay rates and denominator guard, as in Kingma & Ba (2015)
 BETA1 = 0.9
 BETA2 = 0.999
@@ -148,7 +152,16 @@ def train(
 
 
 def model_to_dict(artifact: ModelArtifact) -> dict:
-    """JSON-ready document; weights as nested lists at full precision."""
+    """JSON-ready document; weights as nested lists at full precision.
+    params holds w_i, u_i, b_i, w_f, ..., b_o, each gate's rows of wx, wh
+    and b for the gates i, f, g, o in turn, then w_out and b_out."""
+    p = artifact.params
+    H = p.hidden_dim
+    gates = {
+        f"{name}_{gate}": arr[k * H : (k + 1) * H].tolist()
+        for k, gate in enumerate(GATES)
+        for name, arr in (("w", p.wx), ("u", p.wh), ("b", p.b))
+    }
     return {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -161,7 +174,7 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
             "offset": artifact.normalizer.offset.tolist(),
             "scale": artifact.normalizer.scale.tolist(),
         },
-        "params": {name: arr.tolist() for name, arr in artifact.params.named().items()},
+        "params": {**gates, "w_out": p.w_out.tolist(), "b_out": p.b_out.tolist()},
         "provenance": artifact.provenance,
     }
 
@@ -190,10 +203,14 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         )
         # each block is checked before anything is stacked, so a file that
         # declares a huge hidden_dim allocates nothing of that size
-        shapes = config.named_shapes()
+        H, D = config.hidden_dim, CHANNEL_DIM
+        per_gate = {"w": (H, D), "u": (H, H), "b": (H,)}
+        gates = {f"{name}_{gate}": shape for gate in GATES for name, shape in per_gate.items()}
+        shapes = {**gates, "w_out": (D, H), "b_out": (D,)}
         params_doc = json_object(doc["params"], "params")
-        named = {name: _block(params_doc, name, shape) for name, shape in shapes.items()}
-        params = LstmParams.from_named(named)  # refuses non-finite weights
+        blocks = {name: _block(params_doc, name, shape) for name, shape in shapes.items()}
+        wx, wh, b = (np.concatenate([blocks[f"{name}_{gate}"] for gate in GATES]) for name in per_gate)
+        params = LstmParams(wx, wh, b, blocks["w_out"], blocks["b_out"])  # refuses non-finite weights
         provenance = str(doc.get("provenance", ""))
     # OverflowError: an integer beyond float64, such as 1e400 written in full
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

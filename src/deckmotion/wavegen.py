@@ -313,8 +313,9 @@ def json_text(doc) -> str:
 
 def json_load(path):
     """The JSON document in the file at path, as every JSON file is read; a
-    file that is not UTF-8 JSON, or nests too deeply to parse, raises ValueError."""
-    with open(path, "r", encoding="utf-8") as f:
+    file that is not UTF-8 JSON, or nests too deeply to parse, raises ValueError.
+    A leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             return json.load(f)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -13,7 +13,10 @@ from oracles import LstmState, cell_forward, forward_window, zero_state
 def scalar_cell_oracle(params, x, h_prev, c_prev):
     """Independent scalar-loop LSTM step, no vectorized shortcuts."""
     H = params.hidden_dim
-    named = params.named()
+    # the stacked rows hold the gates in the order i, f, g, o
+    w, u, b = (
+        [arr[k * H : (k + 1) * H] for k in range(4)] for arr in (params.wx, params.wh, params.b)
+    )
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
 
     def gate(w, u, b, fn):
@@ -27,10 +30,10 @@ def scalar_cell_oracle(params, x, h_prev, c_prev):
             out.append(fn(acc))
         return out
 
-    i = gate(named["w_i"], named["u_i"], named["b_i"], sig)
-    f = gate(named["w_f"], named["u_f"], named["b_f"], sig)
-    g = gate(named["w_g"], named["u_g"], named["b_g"], math.tanh)
-    o = gate(named["w_o"], named["u_o"], named["b_o"], sig)
+    i = gate(w[0], u[0], b[0], sig)
+    f = gate(w[1], u[1], b[1], sig)
+    g = gate(w[2], u[2], b[2], math.tanh)
+    o = gate(w[3], u[3], b[3], sig)
     c = [f[r] * c_prev[r] + i[r] * g[r] for r in range(H)]
     h = [o[r] * math.tanh(c[r]) for r in range(H)]
     return np.array(h), np.array(c)
@@ -56,10 +59,11 @@ def test_init_deterministic():
 
 
 def test_init_forget_bias_ones():
-    p = L.init_params(L.LstmConfig(hidden_dim=8), 0)
-    assert np.all(p.named()["b_f"] == 1.0)
-    for name in ("b_i", "b_g", "b_o", "b_out"):
-        assert np.all(p.named()[name] == 0.0)
+    H = 8
+    p = L.init_params(L.LstmConfig(hidden_dim=H), 0)
+    assert np.all(p.b[H : 2 * H] == 1.0)  # the forget gate's rows
+    for bias in (p.b[:H], p.b[2 * H :], p.b_out):
+        assert np.all(bias == 0.0)
 
 
 def test_init_weight_bound():
@@ -189,6 +193,8 @@ def test_loss_rejects_empty_or_mismatched_batch():
         L.loss_and_gradients(p, np.zeros((0, 5, 3)), np.zeros((0, 3)))
     with pytest.raises(ValueError):
         L.loss_and_gradients(p, np.zeros((2, 5, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="channels"):
+        L.loss_and_gradients(p, np.zeros((2, 5, 2)), np.zeros((2, 3)))
 
 
 def test_duplicated_batch_has_same_loss_and_gradients():
@@ -251,9 +257,3 @@ def test_output_head_rows_affect_only_their_channel():
     assert bumped[0] == base[0]
     assert bumped[2] == base[2]
     assert bumped[1] != base[1]
-
-
-def test_named_views_share_memory():
-    p = L.init_params(L.LstmConfig(hidden_dim=4), 15)
-    p.named()["b_f"][:] = 7.0
-    assert np.all(p.b[4:8] == 7.0)

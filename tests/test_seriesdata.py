@@ -218,6 +218,13 @@ def test_csv_round_trip(tmp_path, knox_series):
     assert text.startswith("t,heave,pitch,roll\n")
     assert len(text.splitlines()) == 2001
 
+    # as a spreadsheet saves "CSV UTF-8": with a byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = sd.load_series_csv(bom)
+    assert (loaded.dt, loaded.t0) == (knox_series.dt, knox_series.t0)
+    assert np.array_equal(loaded.samples, knox_series.samples)
+
 
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"

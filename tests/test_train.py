@@ -1,5 +1,6 @@
 """Training loop determinism, the exact Adam update, and model persistence."""
 
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -149,6 +150,13 @@ def test_save_load_round_trip_bitwise(artifact, tmp_path):
     after = L.predict_windows(loaded.params, windows)
     assert np.array_equal(before, after)
 
+    # a leading UTF-8 byte-order mark is skipped
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = tr.load_model(bom)
+    assert loaded.config == artifact.config
+    assert np.array_equal(L.predict_windows(loaded.params, windows), before)
+
     # an integral float in an integer field reads as that integer
     doc = tr.model_to_dict(artifact)
     doc["config"]["hidden_dim"] = float(artifact.config.hidden_dim)
@@ -170,6 +178,37 @@ def test_model_document_schema(artifact, tmp_path):
     }
     assert len(doc["params"]["w_i"]) == artifact.config.hidden_dim
     assert doc["config"]["lookback"] == 10
+
+
+# sha256 of the document below as the model codec has always written it:
+# keys in file order, two-space indentation, repr floats, -0.0 and \u escapes
+GOLDEN_MODEL_SHA256 = "c77932616cb1ffab7df92e2580b0539e6f85267a2ee9aa0dc11155645fdb58cb"
+
+
+def golden_artifact():
+    """A hidden-2 model built from fixed arithmetic, with no RNG."""
+    H = 2
+    params = L.LstmParams(
+        wx=np.arange(4 * H * 3).reshape(4 * H, 3) / 7 - 1.5,
+        wh=np.arange(4 * H * H).reshape(4 * H, H) / -7,
+        b=np.arange(4 * H) / 7,
+        w_out=np.arange(3 * H).reshape(3, H) / 7 + 0.1,
+        b_out=np.array([1.0, -2.0, 3.0]) / 7,
+    )
+    return tr.ModelArtifact(
+        config=L.LstmConfig(hidden_dim=H, lookback=3),
+        params=params,
+        normalizer=sd.Normalizer(offset=np.array([0.25, -1.0, 1.0]) / 3, scale=np.array([1.5, 0.1, 2.0]) / 7),
+        provenance="simulate --model knox \u00b7 train --seed 1",
+    )
+
+
+def test_model_document_text_is_pinned(tmp_path):
+    text = wg.json_text(tr.model_to_dict(golden_artifact()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256
+    path = tmp_path / "golden.json"
+    path.write_text(text, encoding="utf-8")
+    assert wg.json_text(tr.model_to_dict(tr.load_model(path))) == text
 
 
 def test_load_unknown_version(artifact, tmp_path):
