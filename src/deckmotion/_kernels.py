@@ -73,20 +73,23 @@ files and lstm_backward's gradients keep the model order.
 Two parts of z do not wait on the recurrence, and _recur takes them out
 of the step:
   - The input projection x_t wx^T. One np.matmul over a stretch of n
-    steps writes the projections of all n into a (n, rows, 4H) buffer,
-    where n = min(L, PREDICT_ROWS // rows), at least 1: 40 steps at B=1, 7
-    at B=32, 1 at B=196. So the buffer holds at most the PREDICT_ROWS rows
-    of gate pre-activations that a block's L2 budget already allows. Each
-    step then adds h wh^T and the bias into its row in place. np.matmul
-    over the stretch rounds as np.dot step by step does; one (L*B, D) GEMM
-    does not at B=1, and it is slower from B=32 up. At B=1, H=64 the
-    stretch takes about 25 us for 40 steps, against 77 us for 40 np.dot
-    calls. (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946, hoist the
-    input GEMM of an RNN the same way on GPUs.)
-  - The bias. _gate_weights repeats it on each row of a (rows, 4H) block,
-    so the per-step bias add is between arrays of one shape: 0.8 us at B=1
-    and 17 us at B=245, where adding the (4H,) vector by broadcasting takes
-    1.6 and 38 us and, at B=245, allocates a 64 KiB iterator buffer.
+    steps writes the projections of all n into a buffer of n projection
+    rows (see the layouts below), where n = min(L, PREDICT_ROWS // rows),
+    at least 1: 40 steps at B=1, 7 at B=32, 1 at B=196. So the buffer
+    holds at most the PREDICT_ROWS rows of gate pre-activations that a
+    block's L2 budget already allows. Each step then adds h wh^T and the
+    bias into its row in place. np.matmul over the stretch rounds as
+    np.dot step by step does; one (L*B, D) GEMM does not at B=1, and it is
+    slower from B=32 up. At B=1, H=64 the stretch takes about 25 us for 40
+    steps, against 77 us for 40 np.dot calls. (Appleyard, Kocisky &
+    Blunsom 2016, arXiv:1604.01946, hoist the input GEMM of an RNN the
+    same way on GPUs.)
+  - The bias. _gate_weights repeats it on each row of a block of the
+    projection row's shape, so the per-step bias add is between arrays of
+    one shape: 0.8 us at B=1 and 17 us at B=245, where adding the (4H,)
+    vector by broadcasting takes 1.6 and 38 us and, at B=245, allocates a
+    64 KiB iterator buffer. Gate-major, a (4, 1, H) bias broadcast over the
+    rows takes 31 us at 196 rows, against 15 us for the repeated block.
 A step then makes 12 numpy calls, and at B=1 the Python between them is a
 visible share of its time: with H=64, each ufunc call takes about 0.5 us
 and the recurrent GEMV about 3 us, a step about 9 us. So _recur's step
@@ -107,10 +110,8 @@ The one GEMM left in the step, the recurrent product h wh^T, is a
 runs it on a slow path. Four (rows, H) @ (H, H) products, one per gate,
 in one np.matmul over a (4, H, H) stack give the same bits in 0.32-0.78
 of its time at H = 32 to 256 (one OpenBLAS 0.3.31 thread, AVX-512): 0.37
-at H=64 with 5 rows, 0.63 with 32, 0.67 with 224. The matmul writes
-through a (4, rows, H) strided view of the row-major zh, so it allocates
-nothing. _gate_weights returns the stack only where that is both exact
-and faster, all measured:
+at H=64 with 5 rows, 0.63 with 32, 0.67 with 224. _gate_weights returns
+the stack only where that is both exact and faster, all measured:
   - rows * H * H <= 10^6, OpenBLAS's small-matrix bound. One row more and
     the four products leave that path and take 1.1-1.4 times the fused
     one at H = 32 to 96: 245 rows against 244 at H=64, 977 against 976
@@ -121,6 +122,36 @@ and faster, all measured:
   - rows > 4 and rows * H > 288. Below that the two round differently:
     up to 9 rows at H=32, up to 4 at H=64.
 Elsewhere, B=1 included, the step calls np.dot on the fused (H, 4H) view.
+
+The layout of a step's pre-activations follows that choice, made once per
+call from the shape of wh^T:
+  - Per gate, gate-major. A projection row and zh are (4, rows, H), one
+    contiguous (rows, H) block per gate, and the input projection runs per
+    gate too, as np.matmul(x[:, None], x4) over the (4, D, H) stack of wx^T's
+    gate blocks, which rounds as the fused GEMM does wherever the per-gate
+    recurrent product is chosen. The recurrent matmul writes straight into
+    zh, and the sigmoids read -z of i, f and o as the first three blocks,
+    one contiguous (3, rows, H) array, and the tanh reads z of g as the
+    fourth. numpy runs a ufunc whose operands are laid out differently,
+    such as a strided view read into a contiguous block, through a buffer
+    of up to 64 KiB that it allocates on every call; over blocks of one
+    layout it allocates none (a block one row short of its buffers, cut by
+    lstm_predict, stays within 3.4 KB). Measured at H=64, L=40 (one
+    OpenBLAS thread, interleaved medians), row-major against gate-major
+    buffers on this path: a call's traced peak is 10,640, 52,112 and
+    68,496 B at 5, 32 and 196 rows against 2,576 B; a step's exp and tanh
+    take 11.6 and 8.8 us against 8.1 and 6.4 us at 32 rows, and 60 and
+    39 us against 46 and 33 us at 196; a whole _recur call takes 3.10
+    against 2.71 ms at 32 rows, and 17.0 against 15.8 ms at 196.
+  - Fused, row-major. A projection row and zh are (rows, 4H), and the
+    sigmoids and the tanh read (3, rows, H) and (rows, H) strided views of
+    the row. At B=1 the two layouts are the same bytes, so the B=1 step
+    keeps this path, with no reshape added to it: its traced peak is
+    2,224 B. Wider fused blocks (H not a multiple of 8, or beyond the 10^6
+    bound) still pay the iterator buffers, about 66 KB a call at B=245.
+Gate-major zh alone, with the projection row-major, gained nothing: the
+add of two operands of different layouts goes through the same buffer,
+40.6 us against 25.6 us at 196 rows.
 """
 
 from __future__ import annotations
@@ -140,26 +171,39 @@ NUMBA_ENABLED = False
 PREDICT_ROWS = 224
 
 
+def _per_gate(rows, H):
+    """Whether blocks of `rows` rows take the recurrent product per gate, with
+    gate-major buffers: the bounds in the module docstring."""
+    return H % 8 == 0 and 32 <= H <= 384 and max(4, 288 // H) < rows <= 10**6 // (H * H)
+
+
 def _gate_weights(wx, wh, b, rows):
     """The fused gate weights _recur takes: (wx^T, wh^T, brows), with the gate
     blocks ordered i, f, o, g and the rows of i, f and o negated (see the
     module docstring), and the fused bias repeated on each of `rows` rows, so
     that a step adds it as an array of its own shape. Built with slices and
     np.negative: at H=64 that takes 23 us, against 64 us by fancy indexing,
-    and a B=1 forecast of under 1 ms notices the difference. wh^T is the
-    (H, 4H) view, or, where the bounds in the module docstring allow blocks
-    of `rows` rows, the contiguous (4, H, H) stack of its gate blocks.
+    and a B=1 forecast of under 1 ms notices the difference. On the fused
+    path wx^T and wh^T are the (D, 4H) and (H, 4H) views and brows is
+    (rows, 4H). Where the bounds in the module docstring allow blocks of
+    `rows` rows, all three are gate-major: the contiguous (4, D, H) and
+    (4, H, H) stacks of the gate blocks of wx^T and wh^T, and a (4, rows, H)
+    brows.
     """
     H = wh.shape[1]
-    wxf, whf, brows = np.empty_like(wx), np.empty_like(wh), np.empty((rows, 4 * H))
-    for w, v in ((wx, wxf), (wh, whf), (b[:, None], brows.T)):
+    per_gate = _per_gate(rows, H)
+    # the gate-major bias is fused into one column first, then repeated
+    wxf, whf = np.empty_like(wx), np.empty_like(wh)
+    brows = np.empty((4 * H, 1)) if per_gate else np.empty((rows, 4 * H))
+    for w, v in ((wx, wxf), (wh, whf), (b[:, None], brows if per_gate else brows.T)):
         np.negative(w[: 2 * H], v[: 2 * H])
         np.negative(w[3 * H :], v[2 * H : 3 * H])
         v[3 * H :] = w[2 * H : 3 * H]
-    if H % 8 == 0 and 32 <= H <= 384 and max(4, 288 // H) < rows <= 10**6 // (H * H):
-        # w4[k] is wh^T's gate block k
-        return wxf.T, np.ascontiguousarray(whf.reshape(4, H, H).swapaxes(1, 2)), brows
-    return wxf.T, whf.T, brows
+    if not per_gate:
+        return wxf.T, whf.T, brows
+    # x4[k] and w4[k] are wx^T's and wh^T's gate block k
+    x4, w4 = (np.ascontiguousarray(w.reshape(4, H, -1).swapaxes(1, 2)) for w in (wxf, whf))
+    return x4, w4, np.repeat(brows.reshape(4, 1, H), rows, axis=1)
 
 
 def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
@@ -168,7 +212,8 @@ def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
     wxt, wht and brows are _gate_weights' output, brows cut to the block's
     B rows; acts, proj and zh are _scratch's buffers, cut likewise. A 3-D
     wht takes the recurrent product per gate with np.matmul, a 2-D one takes
-    it fused with np.dot; the choice is made once per call. acts is
+    it fused with np.dot; the choice is made once per call, and the layout
+    of proj and zh follows it (see the module docstring). acts is
     an (S, 7, B, H) array: step t reads c_{t-1} from the c slot of
     acts[t % S], writes i, f, o, g, tanh(c) and h into the other slots, and
     writes c_t into the c slot of the next one, so S = L keeps every step
@@ -177,12 +222,16 @@ def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
     step L - 1 fills. The last step writes its c into c_last, a (B, H)
     buffer, or, by default, into acts[0]'s c slot: a cache of S = L slots
     passes c_last, so that c_{-1} = 0 survives the call, at L = 1 too. proj
-    is (n, B, 4H): one GEMM writes the input projections of the next n steps
-    into it, and each of those steps adds its recurrent product zh (B, 4H)
-    and the bias in place. A step allocates nothing, and evaluates the gate
-    math of the module docstring in the order written there, up to the exact
-    negations of the fused weights, so the result is bit-identical to the
-    expressions written out.
+    holds n projection rows: (n, 4, B, H) gate-major on the per-gate path
+    and (n, B, 4H) row-major on the fused one, the same bytes at B=1. One
+    GEMM writes the input projections of the next n steps into it, and each
+    of those steps adds its recurrent product zh, a (4, B, H) or (B, 4H)
+    block like a row, and the bias in place. Gate-major, every ufunc of the
+    step reads and writes contiguous blocks, so numpy allocates no iterator
+    buffer for it. A step allocates nothing that outlives it, and evaluates
+    the gate math of the module docstring in the order written there, up to
+    the exact negations of the fused weights, so the result is bit-identical
+    to the expressions written out.
 
     The step loop is lean for the many tiny calls of a B=1 forecast (see the
     module docstring): local ufuncs, outputs passed positionally, which
@@ -196,9 +245,14 @@ def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
     B, H = acts.shape[2:]
     L, n = x.shape[0], proj.shape[0]
     # per projection row: -z of the sigmoid gates as (3, B, H), matching a
-    # slot's i, f, o, and z of the cell candidate
-    zsv = proj[:, :, : 3 * H].reshape(n, B, 3, H).swapaxes(1, 2)
-    zgv = proj[:, :, 3 * H :]
+    # slot's i, f, o, and z of the cell candidate; gate-major, both are
+    # contiguous blocks, and the input GEMM runs per gate
+    if wht.ndim == 3:
+        rec, xs, zsv, zgv = np.matmul, x[:, None], proj[:, :3], proj[:, 3]
+    else:
+        rec, xs = np.dot, x
+        zsv = proj[:, :, : 3 * H].reshape(n, B, 3, H).swapaxes(1, 2)
+        zgv = proj[:, :, 3 * H :]
     # per slot: i, f, o as one (3, B, H) view, the seven slot views, and the
     # c_t the step writes; with one slot that is the very view object the
     # step reads as c_{t-1}: with a second view of the same block as the
@@ -210,10 +264,6 @@ def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
         i, f, o, g, c, tc, h = acts.swapaxes(0, 1)
         c = [*c]
         slots = list(zip(acts[:, :3], i, f, o, g, c, tc, h, [*c[1:], c[0] if c_last is None else c_last]))
-    if wht.ndim == 3:
-        rec, rec_out = np.matmul, zh.reshape(B, 4, H).transpose(1, 0, 2)
-    else:
-        rec, rec_out = np.dot, zh
     exp, reciprocal, tanh, multiply, add = np.exp, np.reciprocal, np.tanh, np.multiply, np.add
     h = acts[-1, 6]
     acts[0, 4] = 0.0
@@ -222,12 +272,12 @@ def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):
     walk = itertools.cycle(slots)
     for s in range(0, L, n):
         m = min(n, L - s)
-        np.matmul(x[s : s + m], wxt, proj[:m])
+        np.matmul(xs[s : s + m], wxt, proj[:m])
         # a row's views are made as its step comes, so that the memory a
         # call takes does not grow with n; proj[:m] comes first in the zip,
         # so its end stops the walk before it takes another slot
         for zx, zs, zg, (ifo, i, f, o, g, c, tc, h_t, c_t) in zip(proj[:m], zsv, zgv, walk):
-            rec(h, wht, rec_out)
+            rec(h, wht, zh)
             add(zx, zh, zx)
             add(zx, brows, zx)
             exp(zs, ifo)
@@ -248,9 +298,12 @@ def _scratch(rows, H, L, steps=1):
     windows over L steps; acts keeps `steps` steps. proj holds a stretch of
     n = min(L, PREDICT_ROWS // rows) steps, at least one (an empty batch
     included), so that it is no larger than the gate array of a
-    PREDICT_ROWS-row block."""
+    PREDICT_ROWS-row block. proj's rows and zh are gate-major (4, rows, H)
+    where _gate_weights picks the per-gate product for `rows` rows, and
+    row-major (rows, 4H) elsewhere."""
     n = max(1, min(L, PREDICT_ROWS // max(rows, 1)))
-    return np.empty((steps, 7, rows, H)), np.empty((n, rows, 4 * H)), np.empty((rows, 4 * H))
+    row = (4, rows, H) if _per_gate(rows, H) else (rows, 4 * H)
+    return np.empty((steps, 7, rows, H)), np.empty((n, *row)), np.empty(row)
 
 
 def lstm_forward(wx, wh, b, w_out, b_out, x):
@@ -374,7 +427,9 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
         for k in range(w, n, workers):
             lo, hi = bounds[k], bounds[k + 1]
             m = hi - lo
-            h[lo:hi] = _recur(wxt, wht, brows[:m], x[:, lo:hi], acts[:, :, :m], proj[:, :m], zh[:m])
+            # a buffer's rows are its second-to-last axis in both layouts
+            cut = ..., slice(m), slice(None)
+            h[lo:hi] = _recur(wxt, wht, brows[cut], x[:, lo:hi], acts[:, :, :m], proj[cut], zh[cut])
 
     errors = []
 

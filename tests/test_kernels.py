@@ -129,7 +129,8 @@ def test_backward_only_reads_the_cache(lookback):
 def test_recurrence_memory_does_not_grow_with_steps(batch):
     # _recur allocates nothing per step that outlives the step, so its
     # traced peak is the same over 4 steps and over 40; at 196 rows the
-    # per-gate product writes through a strided view of its output
+    # buffers are gate-major, and at 245 numpy's ufuncs go through strided
+    # views of the row-major ones
     peaks = []
     for lookback in (4, 40):
         params, x = _random_case(2, hidden=64, lookback=lookback, batch=batch)
@@ -143,6 +144,26 @@ def test_recurrence_memory_does_not_grow_with_steps(batch):
         finally:
             tracemalloc.stop()
     assert peaks[0] == peaks[1], peaks
+
+
+@pytest.mark.parametrize("batch", [5, 32, 196])
+def test_per_gate_recurrence_allocates_no_iterator_buffers(batch):
+    # on the per-gate path every operand of a step's ufuncs is one
+    # contiguous block, so numpy iterates without the buffer of up to
+    # 64 KiB that it allocates for strided views; a call's traced peak is
+    # then its few views (about 2.6 KB at H=64, L=40)
+    params, x = _random_case(2, hidden=64, lookback=40, batch=batch)
+    weights = K._gate_weights(params.wx, params.wh, params.b, batch)
+    assert weights[1].ndim == 3
+    scratch = K._scratch(batch, 64, 40)
+    K._recur(*weights, x, *scratch)  # warm numpy's first-call caches
+    tracemalloc.start()
+    try:
+        K._recur(*weights, x, *scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -194,22 +215,30 @@ def test_gate_weights_choose_the_product():
 def test_per_gate_product_is_exact_where_chosen():
     # on OpenBLAS the per-gate GEMMs round as the fused one does only for
     # some shapes: not at H=40 with 7 rows, nor at H=392 with 5, nor at
-    # H=100. Wherever _gate_weights picks them, the products must be equal
+    # H=100. Wherever _gate_weights picks them, the products must be equal:
+    # the recurrent one, written into a gate-major (4, rows, H) block as
+    # _recur writes it, and the input projection of a stretch of one step
+    # and of as many as _scratch gives blocks of that width
     rng = np.random.default_rng(0)
     chosen = 0
     for H in (8, 24, 32, 40, 48, 56, 64, 72, 100, 128, 256, 384, 392):
         wx, wh, b = rng.normal(size=(4 * H, 3)), rng.normal(size=(4 * H, H)), rng.normal(size=4 * H)
-        fused = K._gate_weights(wx, wh, b, 1)[1]
+        wxt, fused, _ = K._gate_weights(wx, wh, b, 1)
         bound = 10**6 // (H * H)
         for rows in {*range(1, 13), bound - 1, bound, bound + 1} - {0}:
-            wht = K._gate_weights(wx, wh, b, rows)[1]
+            x4, wht, _ = K._gate_weights(wx, wh, b, rows)
             if wht.ndim == 2:
                 continue
             chosen += 1
             h = rng.normal(size=(rows, H))
-            zh = np.empty((rows, 4 * H))
-            np.matmul(h, wht, zh.reshape(rows, 4, H).transpose(1, 0, 2))
-            assert np.array_equal(zh, np.dot(h, fused)), (H, rows)
+            zh = np.empty((4, rows, H))
+            np.matmul(h, wht, zh)
+            assert np.array_equal(zh, np.dot(h, fused).reshape(rows, 4, H).transpose(1, 0, 2)), (H, rows)
+            for n in {1, K.PREDICT_ROWS // rows} - {0}:
+                x = rng.normal(size=(n, rows, 3))
+                proj = np.matmul(x[:, None], x4)
+                expected = np.matmul(x, wxt).reshape(n, rows, 4, H).transpose(0, 2, 1, 3)
+                assert np.array_equal(proj, expected), (H, rows, n)
     assert chosen > 50
 
 

@@ -352,6 +352,42 @@ def test_csv_load_memory_is_proportional_to_rows(tmp_path):
     assert peak < 5 * 32 * n, peak / n
 
 
+def test_csv_load_peak_memory_is_bounded_per_row(tmp_path):
+    # loading keeps the parsed (n, 4) array and the (n, 3) samples, 56
+    # bytes a row; the spacing check runs in stretches of CHECK_ROWS rows,
+    # so its temporaries do not grow with the file, where over the whole
+    # column at once they take another 33 bytes a row
+    n = 200_000
+    path = tmp_path / "long.csv"
+    path.write_text(sd.series_to_csv(np.arange(n) * 0.1, np.zeros((n, 3))))
+    sd.load_series_csv(path)  # warm numpy's first-call caches
+    tracemalloc.start()
+    try:
+        assert len(sd.load_series_csv(path)) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n, peak / n
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.7e9])
+def test_spacing_check_sees_a_gap_at_every_stretch_edge(t0):
+    # each stretch of the check takes the next row for its last step, so a
+    # row dropped or repeated on either side of an edge between stretches
+    # fails; at t0 = 1.7e9, where a time may sit a quarter step off its
+    # grid, rows jittered by almost that much across an edge pass
+    edge = sd.CHECK_ROWS
+    times = t0 + np.arange(2 * edge + 3) * 0.1
+    assert sd._uniformly_spaced(times)
+    for row in (edge - 1, edge, edge + 1, 2 * edge):
+        assert not sd._uniformly_spaced(np.delete(times, row)), row
+        assert not sd._uniformly_spaced(np.insert(times, row, times[row])), row
+    jittered = times.copy()
+    jittered[edge - 1] -= 0.024
+    jittered[edge] += 0.024
+    assert sd._uniformly_spaced(jittered) == (t0 > 0)
+
+
 @pytest.mark.parametrize("t0", [0.0, 1.7e9])
 @pytest.mark.parametrize("n", [200_000, 300_000, 1_000_000])
 def test_long_time_columns_pass_and_a_late_gap_fails(t0, n):
