@@ -150,8 +150,9 @@ def test_recurrence_memory_does_not_grow_with_steps(batch):
 def test_per_gate_recurrence_allocates_no_iterator_buffers(batch):
     # on the per-gate path every operand of a step's ufuncs is one
     # contiguous block, so numpy iterates without the buffer of up to
-    # 64 KiB that it allocates for strided views; a call's traced peak is
-    # then its few views (about 2.6 KB at H=64, L=40)
+    # 64 KiB that it allocates where a strided view meets a contiguous
+    # block; a call's traced peak is then its few views (about 2.6 KB at
+    # H=64, L=40)
     params, x = _random_case(2, hidden=64, lookback=40, batch=batch)
     weights = K._gate_weights(params.wx, params.wh, params.b, batch)
     assert weights[1].ndim == 3

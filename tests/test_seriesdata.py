@@ -377,7 +377,7 @@ def test_spacing_check_sees_a_gap_at_every_stretch_edge(t0):
     # fails; at t0 = 1.7e9, where a time may sit a quarter step off its
     # grid, rows jittered by almost that much across an edge pass
     edge = sd.CHECK_ROWS
-    times = t0 + np.arange(2 * edge + 3) * 0.1
+    times = t0 + np.arange(4 * edge + 3) * 0.1
     assert sd._uniformly_spaced(times)
     for row in (edge - 1, edge, edge + 1, 2 * edge):
         assert not sd._uniformly_spaced(np.delete(times, row)), row
@@ -386,6 +386,13 @@ def test_spacing_check_sees_a_gap_at_every_stretch_edge(t0):
     jittered[edge - 1] -= 0.024
     jittered[edge] += 0.024
     assert sd._uniformly_spaced(jittered) == (t0 > 0)
+    # by row 4 * CHECK_ROWS the grid tolerance has widened past 0.03 s, so
+    # two rows 0.03 s off in opposite directions across that edge stay on
+    # the grid, and only the step between them, off by 0.06 s, fails
+    jittered = times.copy()
+    jittered[4 * edge - 1] -= 0.03
+    jittered[4 * edge] += 0.03
+    assert not sd._uniformly_spaced(jittered)
 
 
 @pytest.mark.parametrize("t0", [0.0, 1.7e9])
