@@ -59,7 +59,9 @@ def calm_mask(samples: np.ndarray, dt: float, criteria: RestCriteria) -> np.ndar
     if criteria.heave_rate_max is not None:
         heave = samples[:, 0]
         if len(heave) > 1:
-            rate = np.gradient(heave, dt)
+            # a rate that overflows is inf, which is rightly not calm
+            with np.errstate(over="ignore"):
+                rate = np.gradient(heave, dt)
         else:
             rate = np.zeros(1)  # a single sample carries no velocity information
         mask &= np.abs(rate) <= criteria.heave_rate_max

@@ -1,16 +1,11 @@
 """tools/bench_ab.py's summary of paired benchmark results, on canned
 result lines; no benchmark runs."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
+import bench_ab as ab
 
 METRICS = [
     {"name": "op_mean_ref", "unit": "ref", "better": "lower", "bound": 0.25},

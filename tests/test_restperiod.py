@@ -1,5 +1,6 @@
 """Rest-period detection against a brute-force per-sample oracle."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -162,3 +163,25 @@ def test_interval_csv_and_dicts():
     docs = rp.intervals_to_dicts(intervals)
     if docs:
         assert set(docs[0]) == {"start_index", "end_index", "start_t", "end_t", "duration"}
+
+
+def test_overflowing_heave_rate_is_not_calm_and_warns_nothing(tmp_path):
+    criteria = rp.RestCriteria(pitch_max=1.0, roll_max=1.0, heave_rate_max=1.0)
+    # alternating +-1.7e308: the end samples' one-sided differences overflow,
+    # the interior's central ones are 0
+    samples = np.zeros((8, 3))
+    samples[:, 0] = 1.7e308 * (-1.0) ** np.arange(8)
+    series = sd.MotionSeries(dt=0.1, samples=samples)
+    # N(0, 1) heave at dt = 1e-309, as a CSV loads it: every rate overflows
+    samples = np.zeros((8, 3))
+    samples[:, 0] = np.random.default_rng(0).normal(size=8)
+    path = tmp_path / "tiny_dt.csv"
+    path.write_text(sd.series_to_csv(np.arange(8) * 1e-309, samples))
+    loaded = sd.load_series_csv(path)
+    assert loaded.dt == 1e-309
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rp.calm_mask(series.samples, series.dt, criteria).tolist() == [False] + [True] * 6 + [False]
+        assert [(iv.start_index, iv.end_index) for iv in rp.detect_rest_periods(series, criteria)] == [(1, 6)]
+        assert not rp.calm_mask(loaded.samples, loaded.dt, criteria).any()
+        assert rp.detect_rest_periods(loaded, criteria) == []

@@ -88,7 +88,7 @@ def value(result: dict, name: str) -> float:
     return float(result["metrics"][name]["value"])
 
 
-def _quartiles(xs: list[float]) -> tuple[float, float]:
+def quartiles(xs: list[float]) -> tuple[float, float]:
     if len(xs) < 2:
         return xs[0], xs[0]
     q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
@@ -106,7 +106,7 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         b = [value(r, name) for r in change]
         wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
         ma, mb = statistics.median(a), statistics.median(b)
-        qa, qb = _quartiles(a), _quartiles(b)
+        qa, qb = quartiles(a), quartiles(b)
         # positive gap: the change is worse
         gap = sign * (mb - ma) / abs(ma) if ma else 0.0
         if wins >= 0.9 * len(a) and sign * (ma - mb) > qa[1] - qa[0]:

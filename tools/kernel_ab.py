@@ -2,44 +2,46 @@
 
     python3 tools/kernel_ab.py PARENT CHANGE [--pairs 10]
 
-PARENT and CHANGE are two checkouts of the repository. Each pair times
-each checkout's src/deckmotion/_kernels.py in a fresh process of its own,
-the parent first in even pairs and the change first in odd ones, with
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
-kernels run at H=64, L=40 and three input and output channels, on weights
-and windows drawn from a fixed seed, in these cases:
+PARENT and CHANGE are two checkouts of the repository. Their
+src/deckmotion/_kernels.py are loaded into this one process as two modules,
+with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1
+before numpy loads. Both run at H=64, L=40 and three input and output
+channels, on one set of weights and windows drawn from a fixed seed, in
+these cases:
 
     predict_b1960      B=1960 lstm_predict on the process's workers
     predict_b1960_w1   the same on one worker
     train_b32          B=32 lstm_forward, then lstm_backward on its cache
     predict_b1         B=1 lstm_predict
 
-A case's time in one process is the median of its calls, after one call
-that warms numpy's caches. Every pair is printed, then, per case, each
-side's median and quartiles, the relative gap of the medians and the
-change's wins (ties count for neither side), in tools/bench_ab.py's
-format. Stdlib and numpy only; the child process is this script with
---time KERNELS.
+In a pair, each case makes one warm-up call per side, then alternates the
+sides call by call, the parent first in odd pairs and the change first in
+even ones. A case's ratio is the median change/parent ratio of adjacent calls,
+so a phase of the host that outlasts a call slows both sides alike. A pair
+prints `pair K (parent first): CASE P / C ms (R), ...`, with each side's
+median call and the ratio R. The summary gives, per case, each side's
+median ms over the pairs with quartiles, the median ratio with quartiles,
+and the change's wins, the pairs with a ratio below 1. Stdlib and numpy only.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-# name, batch width, calls per process, workers (None: the process's own)
+from bench_ab import quartiles
+
+# name, batch width, calls per side in a pair, workers (None: the process's own)
 CASES = (
-    ("predict_b1960", 1960, 10, None),
-    ("predict_b1960_w1", 1960, 10, 1),
-    ("train_b32", 32, 50, None),
-    ("predict_b1", 1, 400, None),
+    ("predict_b1960", 1960, 4, None),
+    ("predict_b1960_w1", 1960, 4, 1),
+    ("train_b32", 32, 20, None),
+    ("predict_b1", 1, 200, None),
 )
 HIDDEN, LOOKBACK, CHANNELS = 64, 40, 3
 KERNELS = Path("src") / "deckmotion" / "_kernels.py"
@@ -48,14 +50,10 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("parent", nargs="?", help="checkout of the parent commit")
-    p.add_argument("change", nargs="?", help="checkout of the change")
+    p.add_argument("parent", help="checkout of the parent commit")
+    p.add_argument("change", help="checkout of the change")
     p.add_argument("--pairs", type=int, default=10, help="parent/change pairs (default 10)")
-    p.add_argument("--time", metavar="KERNELS", help="time one _kernels.py here and print the result")
-    args = p.parse_args(argv)
-    if args.time is None and args.change is None:
-        p.error("PARENT and CHANGE are required")
-    return args
+    return p.parse_args(argv)
 
 
 def check_dirs(parent: str, change: str) -> tuple[Path, Path]:
@@ -67,118 +65,111 @@ def check_dirs(parent: str, change: str) -> tuple[Path, Path]:
     return dirs
 
 
-def time_kernels(path: str) -> dict:
-    """Milliseconds per call of each case for the _kernels.py at path."""
+def load(path: Path, name: str):
+    """The _kernels.py at path, as a module of its own named name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def make_inputs() -> dict:
+    """Per case, the one set of arguments that both sides' kernels take."""
     import numpy as np
 
-    spec = importlib.util.spec_from_file_location("kernels_under_test", path)
-    K = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(K)
     rng = np.random.default_rng(0)
     H, D = HIDDEN, CHANNELS
-    wx = rng.normal(scale=0.5, size=(4 * H, D))
-    wh = rng.normal(scale=H**-0.5, size=(4 * H, H))
-    b, w_out, b_out = rng.normal(scale=0.1, size=4 * H), rng.normal(size=(D, H)), np.zeros(D)
-    cpu_count = K._cpu_count
-    out = {}
-    for name, batch, calls, workers in CASES:
-        x = rng.normal(size=(LOOKBACK, batch, D))
-        dy = rng.normal(size=(batch, D))
-        K._cpu_count = cpu_count if workers is None else (lambda: workers)
+    weights = (rng.normal(scale=0.5, size=(4 * H, D)), rng.normal(scale=H**-0.5, size=(4 * H, H)),
+               rng.normal(scale=0.1, size=4 * H), rng.normal(size=(D, H)), np.zeros(D))
+    return {name: (weights, rng.normal(size=(LOOKBACK, batch, D)), rng.normal(size=(batch, D)))
+            for name, batch, *_ in CASES}
 
+
+def case_call(K, name, inputs):
+    """One call of case name on the kernels module K, as a function of no arguments."""
+    (wx, wh, b, w_out, b_out), x, dy = inputs[name]
+    if name.startswith("train"):
         def call():
-            if name.startswith("train"):
-                _, acts = K.lstm_forward(wx, wh, b, w_out, b_out, x)
-                K.lstm_backward(wx, wh, w_out, x, acts, dy)
-            else:
-                K.lstm_predict(wx, wh, b, w_out, b_out, x)
+            _, acts = K.lstm_forward(wx, wh, b, w_out, b_out, x)
+            K.lstm_backward(wx, wh, w_out, x, acts, dy)
+    else:
+        def call():
+            K.lstm_predict(wx, wh, b, w_out, b_out, x)
+    return call
 
-        call()
-        times = []
+
+def time_pair(sides, inputs, parent_first: bool) -> dict:
+    """Per case, (parent ms, change ms, ratio) for one pair: each side's median
+    call and the median change/parent ratio of adjacent calls."""
+    order = (0, 1) if parent_first else (1, 0)
+    out = {}
+    for name, _, calls, workers in CASES:
+        own = [K._cpu_count for K in sides]
+        if workers is not None:
+            for K in sides:
+                K._cpu_count = lambda: workers
+        fns = [case_call(K, name, inputs) for K in sides]
+        for side in order:
+            fns[side]()
+        ms = ([], [])
         for _ in range(calls):
-            t = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - t)
-        out[name] = 1e3 * statistics.median(times)
+            for side in order:
+                t = time.perf_counter()
+                fns[side]()
+                ms[side].append(1e3 * (time.perf_counter() - t))
+        for K, count in zip(sides, own):
+            K._cpu_count = count
+        out[name] = (statistics.median(ms[0]), statistics.median(ms[1]),
+                     statistics.median(c / p for p, c in zip(*ms)))
     return out
 
 
-def parse_timings(stdout: str) -> dict:
-    """One process's timings: its last non-blank stdout line, a JSON object
-    with a number of milliseconds for every case."""
-    lines = [ln for ln in stdout.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("the timing process printed nothing")
-    timings = json.loads(lines[-1])
-    missing = [name for name, *_ in CASES if not isinstance(timings.get(name), (int, float))]
-    if missing:
-        raise ValueError(f"the last line lacks {', '.join(missing)}: {lines[-1][:200]}")
-    return timings
-
-
-def run_once(checkout: Path) -> dict:
-    cmd = [sys.executable, str(Path(__file__).absolute()), "--time", str(checkout / KERNELS)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return parse_timings(proc.stdout)
-
-
-def _quartiles(xs: list[float]) -> tuple[float, float]:
-    if len(xs) < 2:
-        return xs[0], xs[0]
-    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q3
-
-
-def summarize(parent: list[dict], change: list[dict]) -> list[dict]:
-    """Per case, on paired timings (parent[k] and change[k] are pair k):
-    each side's median and quartiles, the change's wins and the relative
-    gap of the medians, positive where the change is slower."""
+def summarize(pairs: list[dict]) -> list[dict]:
+    """Per case, over the pairs' (parent ms, change ms, ratio): each side's
+    median ms and quartiles, the median ratio and its quartiles, and the
+    change's wins, the pairs with a ratio below 1."""
     rows = []
     for name, *_ in CASES:
-        a = [r[name] for r in parent]
-        b = [r[name] for r in change]
-        ma, mb = statistics.median(a), statistics.median(b)
-        rows.append({"name": name, "parent_median": ma, "parent_quartiles": _quartiles(a),
-                     "change_median": mb, "change_quartiles": _quartiles(b),
-                     "wins": sum(y < x for x, y in zip(a, b)), "pairs": len(a), "gap": (mb - ma) / ma})
+        a, b, r = ([pair[name][k] for pair in pairs] for k in range(3))
+        rows.append({"name": name, "parent_median": statistics.median(a), "parent_quartiles": quartiles(a),
+                     "change_median": statistics.median(b), "change_quartiles": quartiles(b),
+                     "ratio": statistics.median(r), "ratio_quartiles": quartiles(r),
+                     "wins": sum(x < 1 for x in r), "pairs": len(r)})
     return rows
 
 
-def report(parent: list[dict], change: list[dict]) -> str:
+def report(pairs: list[dict]) -> str:
     out = []
-    for row in summarize(parent, change):
-        (a1, a3), (b1, b3) = row["parent_quartiles"], row["change_quartiles"]
+    for row in summarize(pairs):
+        (a1, a3), (b1, b3), (r1, r3) = row["parent_quartiles"], row["change_quartiles"], row["ratio_quartiles"]
         out.append(
             f"{row['name']} [ms]: parent {row['parent_median']:.4g} ({a1:.4g}-{a3:.4g}), "
             f"change {row['change_median']:.4g} ({b1:.4g}-{b3:.4g}), "
-            f"{-row['gap']:+.1%} better, wins {row['wins']}/{row['pairs']}"
+            f"ratio {row['ratio']:.4f} ({r1:.4f}-{r3:.4f}), wins {row['wins']}/{row['pairs']}"
         )
     return "\n".join(out)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.time is not None:
-        print(json.dumps(time_kernels(args.time)))
-        return 0
     try:
         dirs = check_dirs(args.parent, args.change)
     except ValueError as exc:
         print(f"kernel_ab: {exc}", file=sys.stderr)
         return 2
-    results = ([], [])
+    sides = [load(d / KERNELS, f"kernels_{side}") for d, side in zip(dirs, ("parent", "change"))]
+    inputs = make_inputs()
+    pairs = []
     for k in range(args.pairs):
-        order = (0, 1) if k % 2 == 0 else (1, 0)
-        for side in order:
-            results[side].append(run_once(dirs[side]))
-        cells = [f"{name} {results[0][-1][name]:.4g} / {results[1][-1][name]:.4g}" for name, *_ in CASES]
-        first = "parent" if order[0] == 0 else "change"
-        print(f"pair {k + 1} ({first} first), parent / change [ms]: " + ", ".join(cells), flush=True)
-    print(report(*results))
+        pairs.append(time_pair(sides, inputs, parent_first=k % 2 == 0))
+        cells = [f"{name} {p:.4g} / {c:.4g} ms ({r:.4f})" for name, (p, c, r) in pairs[-1].items()]
+        first = "parent" if k % 2 == 0 else "change"
+        print(f"pair {k + 1} ({first} first): " + ", ".join(cells), flush=True)
+    print(report(pairs))
     return 0
 
 
 if __name__ == "__main__":
+    # BLAS reads its thread count once, when numpy loads in main
+    os.environ.update(ONE_THREAD)
     sys.exit(main())
