@@ -56,9 +56,9 @@ Gate math per step, with z = x_t wx^T + h wh^T + b in model order:
 i = sigmoid, f = sigmoid, g = tanh (cell candidate), o = sigmoid, where
 sigmoid(z) = 1 / (1 + exp(-z)); c' = f*c + i*g; h' = o*tanh(c').
 
-The recurrence computes this through fused gate weights, built once per
-call by _gate_weights: the gate blocks reordered i, f, o, g, and the rows
-of the three sigmoid gates negated. The GEMMs then yield -z for i, f and o
+The recurrence computes this through fused gate weights, built by _fused:
+the gate blocks reordered i, f, o, g, and the rows of the three sigmoid
+gates negated. The GEMMs then yield -z for i, f and o
 directly, so one exp, one add and one reciprocal over a (3, B, H) view
 give all three sigmoids. The values are bit-identical to the model-order
 expressions: IEEE negation is exact, and every rounding is sign-symmetric,
@@ -99,11 +99,34 @@ update in place is a ufunc call with its output passed positionally
 its slot's views from one zip, the slots from an itertools.cycle, with no
 index arithmetic. That made a B=1 forecast (H=64, L=40) about 5% faster.
 What a B=1 call pays once is now mostly its set-up, measured at H=64,
-L=40: _gate_weights 14 us, the scratch buffers 1.5 us, the projection
-row views 1.2 us, the slot views 2 us, zeroing the state 0.9 us, the
-head 2.2 us, and outside this module np.errstate 1.3 us and as_time_major
-0.9 us. Only the slot views had a bit-identical form that measured faster;
-_gate_weights copies and negates every value of the weights.
+L=40: _gate_weights 1.3 us, with the fused weights built once per
+read-only model (below), the scratch buffers 1.5 us, the projection row
+views 1.2 us, the slot views 2 us, zeroing the state 0.9 us, the head
+2.2 us, and outside this module np.errstate 1.3 us and as_time_major
+0.9 us. Only the slot views had a bit-identical form that measured faster.
+
+_fused copies and negates every value of the weights, 12 us at H=64, and
+allocates a fresh 128 KiB wh^T, while a landing stream forecasts from one
+loaded model sample after sample. So _fused builds a model's fused weights
+once: a loaded model's arrays are read-only (training.model_from_dict),
+and _FUSED keeps the fused arrays of every wx, wh and b that are all
+read-only and own their memory (a.base is None), keyed on id(wh), with wx
+and b checked by identity on a hit. A read-only view of writable memory
+can still change, so it is never kept, and neither are writable weights,
+which Adam updates in place: they are built on every call, as before, and
+weights made writable again lose their entry at their next call. Weights
+made writable, edited and made read-only again between two calls would be
+served stale: callers must not do that to the weights they forecast from. A
+weakref.finalize on wh drops the entry when wh is collected, so the fused
+copy lives exactly as long as the model, and an id is never reused while
+its entry is kept. The kept arrays are read-only, and the kept wh^T starts
+on a 64-byte boundary: np.empty's data starts on a 16-byte one, and a B=1
+step's GEMV over a wh^T that starts 16 bytes past a 32-byte boundary took
+369 us a call against 345 us, so a kept copy would fix the speed of a whole
+stream by where malloc put it. Measured at H=64, L=40 (one OpenBLAS
+thread, interleaved calls), a B=1 forecast from read-only weights takes
+0.345-0.355 ms against 0.386-0.404 ms, and its traced peak falls from
+231,144 to 91,624 B.
 
 The one GEMM left in the step, the recurrent product h wh^T, is a
 (rows, H) @ (H, 4H) product with an F-ordered right operand, and OpenBLAS
@@ -158,8 +181,10 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import os
 import threading
+import weakref
 
 import numpy as np
 
@@ -170,6 +195,9 @@ NUMBA_ENABLED = False
 # Widest batch block lstm_predict runs through the recurrence at once.
 PREDICT_ROWS = 224
 
+# _fused's weights of read-only models, keyed on id(wh): (wx, b, wxf, whf, bcol)
+_FUSED = {}
+
 
 def _per_gate(rows, H):
     """Whether blocks of `rows` rows take the recurrent product per gate, with
@@ -177,33 +205,66 @@ def _per_gate(rows, H):
     return H % 8 == 0 and 32 <= H <= 384 and max(4, 288 // H) < rows <= 10**6 // (H * H)
 
 
-def _gate_weights(wx, wh, b, rows):
-    """The fused gate weights _recur takes: (wx^T, wh^T, brows), with the gate
-    blocks ordered i, f, o, g and the rows of i, f and o negated (see the
-    module docstring), and the fused bias repeated on each of `rows` rows, so
-    that a step adds it as an array of its own shape. Built with slices and
-    np.negative: at H=64 that takes 23 us, against 64 us by fancy indexing,
-    and a B=1 forecast of under 1 ms notices the difference. On the fused
-    path wx^T and wh^T are the (D, 4H) and (H, 4H) views and brows is
-    (rows, 4H). Where the bounds in the module docstring allow blocks of
-    `rows` rows, all three are gate-major: the contiguous (4, D, H) and
-    (4, H, H) stacks of the gate blocks of wx^T and wh^T, and a (4, rows, H)
-    brows.
+def _aligned(shape):
+    """An uninitialised float64 array whose data starts on a 64-byte
+    boundary, where np.empty's may start 16 bytes past one: see _fused."""
+    n = math.prod(shape)
+    buf = np.empty(n + 7)
+    k = -buf.ctypes.data % 64 // 8
+    return buf[k : k + n].reshape(shape)
+
+
+def _fused(wx, wh, b):
+    """(wxf, whf, bcol): wx and wh with the gate blocks ordered i, f, o, g and
+    the rows of i, f and o negated (see the module docstring), and b so
+    reordered as a (4H, 1) column. Built with slices and np.negative: at H=64
+    that takes 23 us, against 64 us by fancy indexing, and a B=1 forecast of
+    under 1 ms notices the difference. Weights that are read-only and own
+    their memory, as a loaded model's are, are built once and kept in _FUSED
+    (see the module docstring); the kept arrays are read-only too.
     """
+    frozen = not (wx.flags.writeable or wh.flags.writeable or b.flags.writeable)
+    frozen = frozen and wx.base is None and wh.base is None and b.base is None
+    if not frozen:
+        # made writable again since its weights were kept
+        _FUSED.pop(id(wh), None)
+    hit = _FUSED.get(id(wh))
+    if hit is not None and hit[0] is wx and hit[1] is b:
+        return hit[2:]
     H = wh.shape[1]
-    per_gate = _per_gate(rows, H)
-    # the gate-major bias is fused into one column first, then repeated
-    wxf, whf = np.empty_like(wx), np.empty_like(wh)
-    brows = np.empty((4 * H, 1)) if per_gate else np.empty((rows, 4 * H))
-    for w, v in ((wx, wxf), (wh, whf), (b[:, None], brows if per_gate else brows.T)):
+    wxf, bcol = np.empty_like(wx), np.empty((4 * H, 1))
+    whf = _aligned(wh.shape) if frozen else np.empty_like(wh)
+    for w, v in ((wx, wxf), (wh, whf), (b[:, None], bcol)):
         np.negative(w[: 2 * H], v[: 2 * H])
         np.negative(w[3 * H :], v[2 * H : 3 * H])
         v[3 * H :] = w[2 * H : 3 * H]
-    if not per_gate:
-        return wxf.T, whf.T, brows
+    if frozen and hit is None:
+        for v in (wxf, whf, bcol):
+            v.setflags(write=False)
+        entry = (wx, b, wxf, whf, bcol)
+        # one entry and one finalizer per wh, if two threads both missed
+        if _FUSED.setdefault(id(wh), entry) is entry:
+            weakref.finalize(wh, _FUSED.pop, id(wh), None).atexit = False
+    return wxf, whf, bcol
+
+
+def _gate_weights(wx, wh, b, rows):
+    """The fused gate weights _recur takes: (wx^T, wh^T, brows), from _fused,
+    with the fused bias repeated on each of `rows` rows, so that a step adds
+    it as an array of its own shape. On the fused path wx^T and wh^T are the
+    (D, 4H) and (H, 4H) views and brows is (rows, 4H), at one row a view of
+    _fused's column. Where the bounds in the module docstring allow blocks
+    of `rows` rows, all three are gate-major: the contiguous (4, D, H) and
+    (4, H, H) stacks of the gate blocks of wx^T and wh^T, and a (4, rows, H)
+    brows.
+    """
+    wxf, whf, bcol = _fused(wx, wh, b)
+    H = wh.shape[1]
+    if not _per_gate(rows, H):
+        return wxf.T, whf.T, bcol.T if rows == 1 else np.repeat(bcol.T, rows, axis=0)
     # x4[k] and w4[k] are wx^T's and wh^T's gate block k
     x4, w4 = (np.ascontiguousarray(w.reshape(4, H, -1).swapaxes(1, 2)) for w in (wxf, whf))
-    return x4, w4, np.repeat(brows.reshape(4, 1, H), rows, axis=1)
+    return x4, w4, np.repeat(bcol.reshape(4, 1, H), rows, axis=1)
 
 
 def _recur(wxt, wht, brows, x, acts, proj, zh, c_last=None):

@@ -50,7 +50,8 @@ class LstmParams:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite entries in {name}")
-        H = self.wh.shape[1]
+        # a wh that is not 2-D matches no stack shape
+        H = self.wh.shape[1] if self.wh.ndim == 2 else -1
         if self.wh.shape != (4 * H, H) or self.wx.shape != (4 * H, CHANNEL_DIM) or self.b.shape != (4 * H,):
             raise ValueError("inconsistent gate-stack shapes")
         if self.w_out.shape != (CHANNEL_DIM, H) or self.b_out.shape != (CHANNEL_DIM,):

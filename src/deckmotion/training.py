@@ -180,7 +180,8 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
 
 
 def model_from_dict(doc: dict) -> ModelArtifact:
-    """The artifact a model document describes; anything else raises ValueError."""
+    """The artifact a model document describes, with read-only parameter
+    arrays; anything else raises ValueError."""
     json_object(doc, "model document")
     if "format_version" not in doc:
         raise ValueError("missing format_version")
@@ -211,6 +212,10 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         blocks = {name: _block(params_doc, name, shape) for name, shape in shapes.items()}
         wx, wh, b = (np.concatenate([blocks[f"{name}_{gate}"] for gate in GATES]) for name in per_gate)
         params = LstmParams(wx, wh, b, blocks["w_out"], blocks["b_out"])  # refuses non-finite weights
+        # read-only, as the normalizer is, so the kernels fuse the gate
+        # weights once per model; params.copy() is writable
+        for arr in params.arrays():
+            arr.setflags(write=False)
         provenance = str(doc.get("provenance", ""))
     # OverflowError: an integer beyond float64, such as 1e400 written in full
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -239,4 +244,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 
 def load_model(path) -> ModelArtifact:
+    """The model a file holds. Its parameter arrays are read-only, so that
+    forecasts build the kernels' fused gate weights once per model;
+    artifact.params.copy() gives writable ones."""
     return model_from_dict(json_load(path))

@@ -31,6 +31,17 @@ def test_cases_are_the_four_kernels_at_hidden_64():
     assert kab.ONE_THREAD["OPENBLAS_NUM_THREADS"] == "1"
 
 
+def test_forecasts_take_read_only_weights_and_training_writable_ones():
+    # as a loaded model's and Adam's are, so that each case times the
+    # weights its callers pass
+    inputs = kab.make_inputs()
+    for name in NAMES:
+        weights, x, dy = inputs[name]
+        assert len(weights) == 5 and x.shape[1] == dy.shape[0]
+        assert all(w.flags.writeable == (name == "train_b32") for w in weights), name
+        assert all(w.base is None for w in weights), name
+
+
 def test_summary_gives_medians_quartiles_and_wins():
     # faster at B=1960 in three pairs of four, slower at B=32 in every pair,
     # and even at B=1, where a ratio of 1 counts for neither side

@@ -243,6 +243,48 @@ def test_per_gate_product_is_exact_where_chosen():
     assert chosen > 50
 
 
+def _read_only(arrays):
+    """Read-only copies that own their memory, as a loaded model's are."""
+    copies = [a.copy() for a in arrays]
+    for a in copies:
+        a.setflags(write=False)
+    return copies
+
+
+@pytest.mark.parametrize("hidden", [3, 8, 64])
+def test_read_only_weights_forecast_as_writable_ones(hidden):
+    # read-only weights take _fused's kept arrays from their second call
+    # on, on the fused and the per-gate path, in one block and in several;
+    # every forecast must equal that of a writable copy, built afresh
+    for batch in (1, 2, 5, 32, 245, 257, 1960):
+        params, x = _random_case(hidden + batch, hidden=hidden, lookback=5, batch=batch)
+        args = (*params.arrays(), x)
+        kept = (*_read_only(params.arrays()), x)
+        expected = K.lstm_predict(*args)
+        assert id(kept[1]) not in K._FUSED
+        for memo in ("cold", "warm"):
+            assert np.array_equal(K.lstm_predict(*kept), expected), (batch, memo)
+            assert id(kept[1]) in K._FUSED
+
+
+def test_edited_weights_are_never_served_stale():
+    # writable weights, a read-only view of writable memory and weights
+    # made writable again may all change between two forecasts
+    params, x = _random_case(8, hidden=8, lookback=5, batch=1)
+    rng = np.random.default_rng(8)
+    views = [a.view() for a in params.arrays()]
+    for a in views:
+        a.setflags(write=False)
+    kept = _read_only(params.arrays())
+    for weights, edited in ((params.arrays(), params.wh), (views, params.wh), (kept, kept[1])):
+        K.lstm_predict(*weights, x)
+        edited.setflags(write=True)
+        edited += rng.normal(size=edited.shape)
+        expected = K.lstm_predict(*(a.copy() for a in weights), x)
+        assert np.array_equal(K.lstm_predict(*weights, x), expected)
+    assert id(params.wh) not in K._FUSED and id(kept[1]) not in K._FUSED
+
+
 def test_threaded_predict_keeps_callers_errstate(monkeypatch):
     # saturated gates overflow exp; predict_windows silences that with
     # np.errstate, which a helper thread sees only through the caller's

@@ -96,6 +96,8 @@ def test_params_validation():
             w_out=np.zeros((3, 5)),
             b_out=np.zeros(3),
         )
+    with pytest.raises(ValueError, match="inconsistent gate-stack shapes"):
+        L.LstmParams(np.zeros((4, 3)), np.zeros(4), np.zeros(4), np.zeros((3, 1)), np.zeros(3))  # 1-D wh
     bad = np.zeros((16, 3))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

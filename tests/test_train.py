@@ -1,12 +1,16 @@
 """Training loop determinism, the exact Adam update, and model persistence."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from deckmotion import _kernels as K
 from deckmotion import lstm as L
 from deckmotion import seriesdata as sd
 from deckmotion import training as tr
@@ -164,6 +168,52 @@ def test_save_load_round_trip_bitwise(artifact, tmp_path):
     loaded = tr.load_model(path)
     assert loaded.config == artifact.config
     assert np.array_equal(L.predict_windows(loaded.params, windows), before)
+
+
+def test_loaded_parameters_are_read_only(artifact, tmp_path):
+    # the kernels keep a loaded model's fused gate weights on the strength
+    # of this; a copy is writable, as training's parameters are
+    path = tmp_path / "model.json"
+    tr.save_model(artifact, path)
+    loaded = tr.load_model(path)
+    for arr in loaded.params.arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    for arr in loaded.params.copy().arrays():
+        arr[0] = 0.0
+
+
+def test_fused_weights_live_as_long_as_the_model(artifact, tmp_path):
+    path = tmp_path / "model.json"
+    tr.save_model(artifact, path)
+    loaded = tr.load_model(path)
+    key, wh = id(loaded.params.wh), weakref.ref(loaded.params.wh)
+    L.predict_windows(loaded.params, np.zeros((1, artifact.config.lookback, 3)))
+    assert key in K._FUSED
+    del loaded
+    gc.collect()
+    assert wh() is None
+    assert key not in K._FUSED
+
+
+def test_landing_step_rebuilds_no_weights(tmp_path):
+    # a B=1 forecast from a loaded model (H=64, L=40) allocates no fused
+    # gate weights once warm: the 128 KiB wh^T alone would break the bound
+    config = L.LstmConfig(hidden_dim=64, lookback=40)
+    artifact = tr.ModelArtifact(config=config, params=L.init_params(config, 3), normalizer=sd.Normalizer())
+    path = tmp_path / "model.json"
+    tr.save_model(artifact, path)
+    params = tr.load_model(path).params
+    window = np.random.default_rng(3).normal(size=(1, 40, 3))
+    for _ in range(3):
+        L.predict_windows(params, window)
+    tracemalloc.start()
+    try:
+        L.predict_windows(params, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 def test_model_document_schema(artifact, tmp_path):

@@ -6,13 +6,16 @@ PARENT and CHANGE are two checkouts of the repository. Their
 src/deckmotion/_kernels.py are loaded into this one process as two modules,
 with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1
 before numpy loads. Both run at H=64, L=40 and three input and output
-channels, on one set of weights and windows drawn from a fixed seed, in
-these cases:
+channels, on weights and windows drawn from a fixed seed, in these cases:
 
     predict_b1960      B=1960 lstm_predict on the process's workers
     predict_b1960_w1   the same on one worker
     train_b32          B=32 lstm_forward, then lstm_backward on its cache
     predict_b1         B=1 lstm_predict
+
+The forecasts take read-only copies of the weights, as a loaded model's
+are, and training takes them writable, as Adam's are; both sides get the
+very same arrays.
 
 In a pair, each case makes one warm-up call per side, then alternates the
 sides call by call, the parent first in odd pairs and the change first in
@@ -74,14 +77,19 @@ def load(path: Path, name: str):
 
 
 def make_inputs() -> dict:
-    """Per case, the one set of arguments that both sides' kernels take."""
+    """Per case, the one set of arguments that both sides' kernels take:
+    read-only weights for the forecasts, writable ones for training."""
     import numpy as np
 
     rng = np.random.default_rng(0)
     H, D = HIDDEN, CHANNELS
     weights = (rng.normal(scale=0.5, size=(4 * H, D)), rng.normal(scale=H**-0.5, size=(4 * H, H)),
                rng.normal(scale=0.1, size=4 * H), rng.normal(size=(D, H)), np.zeros(D))
-    return {name: (weights, rng.normal(size=(LOOKBACK, batch, D)), rng.normal(size=(batch, D)))
+    frozen = tuple(w.copy() for w in weights)
+    for w in frozen:
+        w.setflags(write=False)
+    return {name: (weights if name.startswith("train") else frozen, rng.normal(size=(LOOKBACK, batch, D)),
+                   rng.normal(size=(batch, D)))
             for name, batch, *_ in CASES}
 
 
