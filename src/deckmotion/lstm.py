@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import as_time_major, lstm_backward, lstm_forward, lstm_predict
+from ._kernels import lstm_backward, lstm_forward, lstm_predict
 
 # Inputs and outputs are both the heave, pitch and roll channels.
 CHANNEL_DIM = 3
@@ -84,11 +84,13 @@ def init_params(config: LstmConfig, seed: int) -> LstmParams:
 
 
 def _kernel_input(windows: np.ndarray) -> np.ndarray:
-    """A (B, L, 3) window batch as the kernels' (L, B, 3) input."""
-    x = as_time_major(windows)
-    if x.shape[2] != CHANNEL_DIM:
-        raise ValueError(f"windows have {x.shape[2]} channels, expected {CHANNEL_DIM}")
-    return x
+    """A (B, L, 3) window batch as the kernels' contiguous (L, B, 3) input."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError(f"expected a (B, L, D) batch, got shape {windows.shape}")
+    if windows.shape[2] != CHANNEL_DIM:
+        raise ValueError(f"windows have {windows.shape[2]} channels, expected {CHANNEL_DIM}")
+    return np.ascontiguousarray(windows.transpose(1, 0, 2))
 
 
 def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:

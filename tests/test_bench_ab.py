@@ -79,3 +79,30 @@ def test_checkout_paths_must_be_of_equal_length(tmp_path):
     with pytest.raises(ValueError, match="no perfbench/run.py"):
         ab.check_dirs(tmp_path / "pa", tmp_path / "xy")
     assert ab.main([str(tmp_path / "parent"), str(tmp_path / "ch"), "--workload", "stream-land"]) == 2
+
+
+def test_last_line_holds_both_sides_records(tmp_path, monkeypatch, capsys):
+    for name in ("pa", "ch"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    (tmp_path / "pa" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    side = {tmp_path / "pa": ("parent", 0.5), tmp_path / "ch": ("change", 0.4)}
+
+    def run_once(checkout, workload, seconds, seed):
+        name, op = side[checkout]
+        out = json.dumps({"fingerprint": {"side": name}}) + "\n" + json.dumps({"run": {"ops": seed}}) + "\n"
+        return ab.parse_records(out + _line(op, 50.0, 10.0) + "\n")
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    argv = [str(tmp_path / "pa"), str(tmp_path / "ch"), "--workload", "stream-land", "--pairs", "2", "--seed", "7"]
+    assert ab.main(argv) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (line["workload"], line["seed"], line["seconds"]) == ("stream-land", 7, 30.0)
+    assert [pair["order"] for pair in line["pairs"]] == [["parent", "change"], ["change", "parent"]]
+    for pair in line["pairs"]:
+        for name, op in side.values():
+            assert pair[name]["fingerprint"] == {"side": name}
+            assert pair[name]["run"] == {"ops": 7}
+            assert pair[name]["result"]["metrics"]["op_mean_ref"]["value"] == op
+    assert [row["name"] for row in line["summary"]] == [m["name"] for m in METRICS]
+    assert line["summary"][0]["parent_median"] == 0.5 and line["summary"][0]["change_median"] == 0.4

@@ -1,9 +1,10 @@
-"""The LSTM kernels: input layout, one recurrence shared by the cached and
+"""The LSTM kernels: one recurrence shared by the cached and
 uncached forward passes, bit-identity with the model-order recurrence, and
 the names the benchmark harness reads."""
 
 import itertools
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,18 +24,8 @@ SLOTS = ("i", "f", "o", "g", "c", "tanh_c", "h")
 def _random_case(seed, hidden=6, lookback=7, batch=4):
     params = init_params(LstmConfig(hidden_dim=hidden, lookback=lookback), seed)
     rng = np.random.default_rng(seed + 1)
-    x = K.as_time_major(rng.normal(size=(batch, lookback, 3)))
+    x = lstm._kernel_input(rng.normal(size=(batch, lookback, 3)))
     return params, x
-
-
-def test_as_time_major():
-    batch = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
-    x = K.as_time_major(batch)
-    assert x.shape == (3, 2, 3)
-    assert x.flags["C_CONTIGUOUS"]
-    assert np.array_equal(x[1, 0], batch[0, 1])
-    with pytest.raises(ValueError):
-        K.as_time_major(np.zeros((4, 3)))
 
 
 def test_forward_and_predict_consistent():
@@ -312,6 +303,32 @@ def test_helper_exception_propagates(monkeypatch):
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="helper block failed"):
         K.lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+    assert threading.active_count() == before
+
+
+def test_caller_exception_waits_for_helpers(monkeypatch):
+    # the calling thread's block fails while the helper's is still running;
+    # the failure surfaces only once the helper has finished and joined
+    monkeypatch.setattr(K, "_cpu_count", lambda: 2)
+    caller = threading.current_thread()
+    recur = K._recur
+    failed, finished = threading.Event(), []
+
+    def failing_in_caller(*args):
+        if threading.current_thread() is caller:
+            failed.set()
+            raise ArithmeticError("caller block failed")
+        assert failed.wait(timeout=10)
+        time.sleep(0.05)
+        finished.append(recur(*args))
+        return finished[-1]
+
+    monkeypatch.setattr(K, "_recur", failing_in_caller)
+    params, x = _random_case(5, hidden=4, batch=K.PREDICT_ROWS + 1)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="caller block failed"):
+        K.lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+    assert len(finished) == 1
     assert threading.active_count() == before
 
 

@@ -171,6 +171,16 @@ def test_forward_window_rejects_bad_shape():
         forward_window(p, np.zeros(10))
 
 
+def test_kernel_input():
+    batch = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
+    x = L._kernel_input(batch)
+    assert x.shape == (3, 2, 3)
+    assert x.flags["C_CONTIGUOUS"]
+    assert np.array_equal(x[1, 0], batch[0, 1])
+    with pytest.raises(ValueError):
+        L._kernel_input(np.zeros((4, 3)))
+
+
 def test_predict_windows_matches_single(batch=5):
     p = L.init_params(L.LstmConfig(hidden_dim=6), 9)
     windows = np.random.default_rng(4).normal(size=(batch, 8, 3))

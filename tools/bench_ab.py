@@ -6,10 +6,16 @@
 PARENT and CHANGE are two checkouts of the repository, each with its own
 perfbench/ and src/. Each pair runs `perfbench/run.py` once in each, the
 parent first in even pairs and the change first in odd ones, and reads the
-run's last stdout line, its result. Every end-to-end metric that the
-parent's BENCHMARK.json declares is printed per pair, then summarised per
-metric: each side's median and quartiles, the change's wins (ties count for
-neither side), the relative gap of the medians and the metric's bound.
+run's last stdout line, its result, and the fingerprint and `run` lines
+printed before it. Every end-to-end metric that the parent's BENCHMARK.json
+declares is printed per pair, then summarised per metric: each side's
+median and quartiles, the change's wins (ties count for neither side), the
+relative gap of the medians and the metric's bound.
+
+The last line printed is one JSON object holding the whole comparison: the
+workload, seed and seconds, each pair's order with both sides' three
+records, and the summary rows. A committed BENCH_<label>.json is a JSON
+list of such lines, one per workload.
 
 A metric counts as a gain only when the change wins at least nine tenths
 of the pairs and its median is better than the parent's by more than the
@@ -31,6 +37,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+SIDES = ("parent", "change")
 
 
 def parse_args(argv):
@@ -70,6 +79,15 @@ def parse_result(stdout: str) -> dict:
     return result
 
 
+def parse_records(stdout: str) -> dict:
+    """The fingerprint, run and result records of one run."""
+    records = {"result": parse_result(stdout)}
+    for line in stdout.splitlines():
+        if line.startswith(('{"fingerprint"', '{"run"')):
+            records.update(json.loads(line))
+    return records
+
+
 def end_to_end(checkout: Path) -> list[dict]:
     """The end-to-end metrics BENCHMARK.json declares: name, unit, better, bound."""
     return json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
@@ -81,7 +99,7 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return parse_result(proc.stdout)
+    return parse_records(proc.stdout)
 
 
 def value(result: dict, name: str) -> float:
@@ -150,17 +168,22 @@ def main(argv=None) -> int:
         print(f"bench_ab: {exc}", file=sys.stderr)
         return 2
     metrics = end_to_end(dirs[0])
-    results = ([], [])
+    results, pairs = ([], []), []
     for k in range(args.pairs):
         order = (0, 1) if k % 2 == 0 else (1, 0)
+        records = [None, None]
         for side in order:
-            results[side].append(run_once(dirs[side], args.workload, args.seconds, args.seed))
+            records[side] = run_once(dirs[side], args.workload, args.seconds, args.seed)
+            results[side].append(records[side]["result"])
+        pairs.append({"order": [SIDES[side] for side in order], "parent": records[0], "change": records[1]})
         cells = [f"{m['name']} {value(results[0][-1], m['name']):.4g} / {value(results[1][-1], m['name']):.4g}"
                  for m in metrics]
         cells.append(f"failed {results[0][-1]['failed']} / {results[1][-1]['failed']}")
-        first = "parent" if order[0] == 0 else "change"
-        print(f"pair {k + 1} ({first} first), parent / change: " + ", ".join(cells), flush=True)
+        print(f"pair {k + 1} ({SIDES[order[0]]} first), parent / change: " + ", ".join(cells), flush=True)
     print(report(metrics, *results))
+    summary = summarize(metrics, *results)
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                      "pairs": pairs, "summary": summary}))
     return 0
 
 
