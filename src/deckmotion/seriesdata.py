@@ -265,11 +265,10 @@ def load_series_csv(path) -> MotionSeries:
     """Read a t,heave,pitch,roll CSV; t0 and dt come from the t column, so
     the file needs at least two rows. Blank lines are skipped anywhere.
     np.loadtxt parses the rows straight into one float64 array, with the
-    bits float() gives: a 1,000,000-row file loads in 1.2-1.9 s with a peak
-    RSS of 85 MB, where Python lists of floats took 3.7-4.0 s and 415 MB.
-    It refuses the two forms that only float() accepts: underscores between
-    digits (1_0) and digits other than ASCII ones. A UTF-8 byte-order mark,
-    as spreadsheets write, is skipped."""
+    bits float() gives and no Python float per value. It refuses the two
+    forms that only float() accepts: underscores between digits (1_0) and
+    digits other than ASCII ones. A UTF-8 byte-order mark, as spreadsheets
+    write, is skipped."""
     with open(path, "r", encoding="utf-8-sig") as f:
         lines = (ln for ln in f if not ln.isspace())
         if next(lines, "").strip().replace(" ", "") != CSV_HEADER:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import bench_ab as ab
 import kernel_ab as kab
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,16 +64,18 @@ def test_summary_gives_medians_quartiles_and_wins():
                         "ratio 1.0500 (1.0500-1.0500), wins 0/4")
 
 
-def test_checkouts_must_hold_the_kernels(tmp_path):
-    for name in ("pa", "ch"):
+def test_checkouts_must_hold_the_kernels(tmp_path, capsys):
+    for name in ("pa", "parent"):
         (tmp_path / name / "src" / "deckmotion").mkdir(parents=True)
         (tmp_path / name / "src" / "deckmotion" / "_kernels.py").write_text("")
-    assert kab.check_dirs(tmp_path / "pa", tmp_path / "ch") == (tmp_path / "pa", tmp_path / "ch")
+    assert ab.check_dirs(tmp_path / "parent", tmp_path / "pa", kab.KERNELS) == (tmp_path / "parent", tmp_path / "pa")
     with pytest.raises(ValueError, match="holds no"):
-        kab.check_dirs(tmp_path / "pa", tmp_path / "xy")
-    assert kab.main([str(tmp_path / "pa"), str(tmp_path / "xy")]) == 2
-    with pytest.raises(SystemExit):
-        kab.parse_args([str(tmp_path / "pa")])
+        ab.check_dirs(tmp_path / "parent", tmp_path / "xy", kab.KERNELS)
+    for argv in ([str(tmp_path / "parent"), str(tmp_path / "xy")], [str(tmp_path / "parent")]):
+        with pytest.raises(SystemExit) as exc:
+            kab.main(argv)
+        assert exc.value.code == 2
+    assert "holds no src/deckmotion/_kernels.py" in capsys.readouterr().err
 
 
 def _checkouts(tmp_path, monkeypatch, change_suffix=""):
