@@ -67,10 +67,17 @@ of writable memory can change, so they are fused on every call. Weights
 made writable, edited and made read-only again between two calls would be
 served stale: callers must not do that to weights they forecast from.
 
-The step loops are lean, because at B=1 the Python between numpy calls is
-a visible share of a step: ufuncs are bound to locals, outputs are passed
-positionally (add(zx, zh, zx), not zx += zh), and the slot views are made
-once per call.
+The step loops are lean, because at B=1 the Python-side cost of each numpy
+call is a visible share of a step: ufuncs are bound to locals, outputs are
+passed positionally (add(zx, zh, zh), not zh += zx), the slot views are made
+once per call, and three rules hold that change no bit:
+  (a) A constant operand is ONE, a read-only 0-d float64 array, not the
+      Python float 1.0, which numpy 2 promotes as a weak scalar on every call.
+  (b) Products call np.ndarray.dot, the C routine np.dot reaches only after
+      a Python-level array-function dispatcher.
+  (c) A step's sum lands in zh, so the sigmoid and tanh views of it are made
+      once per call, not per step; zx + zh equals zh + zx, as IEEE addition
+      commutes.
 """
 
 from __future__ import annotations
@@ -93,6 +100,10 @@ PREDICT_ROWS = 224
 
 # _fused's weights of read-only models, keyed on id(wh): (wx, b, wxf, whf, bcol)
 _FUSED = {}
+
+# the step loops' 1.0 (rule (a) in the module docstring)
+ONE = np.array(1.0)
+ONE.setflags(write=False)
 
 
 def _per_gate(rows, H):
@@ -165,15 +176,14 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     """
     B, H = acts.shape[2:]
     L, n = x.shape[0], proj.shape[0]
-    # per projection row: -z of the sigmoid gates as (3, B, H), matching a
-    # slot's i, f, o, and z of the cell candidate; gate-major, both are
-    # contiguous blocks, and the input GEMM runs per gate
+    # a step's sum lands in zh: -z of the sigmoid gates as (3, B, H),
+    # matching a slot's i, f, o, and z of the cell candidate; gate-major,
+    # both are contiguous blocks, and the input GEMM runs per gate
     if wht.ndim == 3:
-        rec, xs, zsv, zgv = np.matmul, x[:, None], proj[:, :3], proj[:, 3]
+        rec, xs, zs, zg = np.matmul, x[:, None], zh[:3], zh[3]
     else:
-        rec, xs = np.dot, x
-        zsv = proj[:, :, : 3 * H].reshape(n, B, 3, H).swapaxes(1, 2)
-        zgv = proj[:, :, 3 * H :]
+        rec, xs = np.ndarray.dot, x
+        zs, zg = zh[:, : 3 * H].reshape(B, 3, H).swapaxes(0, 1), zh[:, 3 * H :]
     # per slot: i, f, o as one (3, B, H) view, the seven slot views, and the
     # c_t the step writes; with one slot that is the very view object the
     # step reads as c_{t-1}, which a B=1 forecast runs fastest with
@@ -194,15 +204,14 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     for s in range(0, L, n):
         m = min(n, L - s)
         np.matmul(xs[s : s + m], wxt, proj[:m])
-        # a row's views are made as its step comes, so that the memory a
-        # call takes does not grow with n; proj[:m] comes first in the zip,
-        # so its end stops the walk before it takes another slot
-        for zx, zs, zg, (ifo, i, f, o, g, c, tc, h_t, c_t) in zip(proj[:m], zsv, zgv, walk):
+        # proj[:m] comes first in the zip, so its end stops the walk before
+        # it takes another slot
+        for zx, (ifo, i, f, o, g, c, tc, h_t, c_t) in zip(proj[:m], walk):
             rec(h, wht, zh)
-            add(zx, zh, zx)
-            add(zx, brows, zx)
+            add(zx, zh, zh)
+            add(zh, brows, zh)
             exp(zs, ifo)
-            add(ifo, 1.0, ifo)
+            add(ifo, ONE, ifo)
             reciprocal(ifo, ifo)
             tanh(zg, g)
             multiply(f, c, c_t)
@@ -233,7 +242,7 @@ def lstm_forward(wx, wh, b, w_out, b_out, x):
     h = _recur(*_gate_weights(wx, wh, b, B), x, acts, proj, zh)
     # the last step's c overwrote c_{-1}, which lstm_backward reads
     acts[0, 4] = 0.0
-    return np.dot(h, w_out.T) + b_out, acts
+    return h.dot(w_out.T) + b_out, acts
 
 
 def lstm_backward(wx, wh, w_out, x, acts, dy):
@@ -249,9 +258,9 @@ def lstm_backward(wx, wh, w_out, x, acts, dy):
     d_wx = np.zeros_like(wx)
     d_wh = np.zeros_like(wh)
     d_b = np.zeros(4 * H)
-    d_wout = np.dot(dy.T, h[L - 1])
+    d_wout = dy.T.dot(h[L - 1])
     d_bout = dy.sum(axis=0)
-    dh = np.dot(dy, w_out)
+    dh = dy.dot(w_out)
     dc = np.zeros((B, H))
     # d4 holds the factor d of (d*s)*(1-s) for s = i, f, o, then dh * o;
     # sq holds 1 - g^2 and 1 - tanh(c)^2, s3 holds 1 - s, and dg holds dc * i
@@ -268,16 +277,16 @@ def lstm_backward(wx, wh, w_out, x, acts, dy):
     # | g, tanh(c) | i | f, its input, and h_{t-1}, which step 0 has not
     r = acts[::-1]
     steps = zip(r[:, :3], r[:, 3:5], r[:, 5:1:-3], r[:, 3::2], r[:, 0], r[:, 1], x[::-1], [*h[-2::-1], None])
-    multiply, subtract, add, dot, add_rows = np.multiply, np.subtract, np.add, np.dot, np.add.reduce
+    multiply, subtract, add, dot, add_rows = np.multiply, np.subtract, np.add, np.ndarray.dot, np.add.reduce
     for ifo, gc, tco, gtc, i, f, xt, h_prev in steps:
         multiply(dh, tco, do_dho)
         multiply(gtc, gtc, sq)
-        subtract(1.0, sq, sq)
+        subtract(ONE, sq, sq)
         multiply(dho, sq_c, dho)
         add(dc, dho, dc)
         multiply(dc, gc, d_if)
         multiply(d_ifo, ifo, d_ifo)
-        subtract(1.0, ifo, s3)
+        subtract(ONE, ifo, s3)
         multiply(d_if, s_if, dz_if)
         multiply(d_o, s_o, dz_o)
         multiply(dc, i, dg)
@@ -308,7 +317,7 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
     H = wh.shape[1]
     if B <= PREDICT_ROWS:
         h = _recur(*_gate_weights(wx, wh, b, B), x, *_scratch(B, H, L))
-        return np.dot(h, w_out.T) + b_out
+        return h.dot(w_out.T) + b_out
     n = -(-B // PREDICT_ROWS)
     workers = min(n, _cpu_count())
     n = -(-n // workers) * workers
@@ -346,4 +355,4 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
             thread.join()
     if errors:
         raise errors[0]
-    return np.dot(h, w_out.T) + b_out
+    return h.dot(w_out.T) + b_out

@@ -8,6 +8,7 @@ pipeline reproducible.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -31,8 +32,10 @@ def _limits(values: np.ndarray) -> tuple[float, float]:
     vmin = float(values.min())
     vmax = float(values.max())
     if vmax == vmin:  # flat data still needs a non-degenerate axis
-        vmin -= 1.0
-        vmax += 1.0
+        # at least one spacing, which exceeds 1.0 from 2^53 on, and kept
+        # finite at the largest floats
+        pad = max(1.0, math.ulp(vmin))
+        vmin, vmax = max(vmin - pad, -sys.float_info.max), min(vmax + pad, sys.float_info.max)
     return vmin, vmax
 
 

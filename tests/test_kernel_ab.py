@@ -6,6 +6,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bench_ab as ab
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 NAMES = [name for name, *_ in kab.CASES]
 # one pair line's cell and one summary line, as the tool's docstring gives them
 CELL = r"(\w+) (\S+) / (\S+) ms \((\S+)\)"
-SUMMARY = r"(\w+) \[ms\]: parent \S+ \(\S+-\S+\), change \S+ \(\S+-\S+\), ratio (\S+) \(\S+-\S+\), wins (\d+)/(\d+)"
+SUMMARY = r"(\w+) \[ms\]: parent \S+ \(\S+-\S+\), change \S+ \(\S+-\S+\), ratio (\S+) \(\S+-\S+\), wins (\d+)/(\d+), bit-equal (?:yes|no)"
 # below PREDICT_ROWS and above it, on the process's workers and on one
 TINY = (("predict_wide", 300, 3, None), ("predict_wide_w1", 300, 3, 1), ("train_b4", 4, 3, None),
         ("predict_b1", 1, 3, None))
@@ -56,12 +57,12 @@ def test_summary_gives_medians_quartiles_and_wins():
     assert rows["predict_b1960"]["wins"] == 3
     assert rows["train_b32"]["wins"] == 0 and rows["train_b32"]["ratio"] == pytest.approx(1.05)
     assert rows["predict_b1"]["wins"] == 0 and rows["predict_b1"]["ratio_quartiles"] == (1.0, 1.0)
-    lines = kab.report(pairs).splitlines()
+    lines = kab.report(pairs, {name: name != "train_b32" for name in NAMES}).splitlines()
     assert len(lines) == 4
     assert lines[0] == ("predict_b1960 [ms]: parent 154.5 (153.8-155.2), change 140.5 (139.8-145.2), "
-                        "ratio 0.9094 (0.9089-0.9355), wins 3/4")
+                        "ratio 0.9094 (0.9089-0.9355), wins 3/4, bit-equal yes")
     assert lines[2] == ("train_b32 [ms]: parent 8 (8-8), change 8.4 (8.4-8.4), "
-                        "ratio 1.0500 (1.0500-1.0500), wins 0/4")
+                        "ratio 1.0500 (1.0500-1.0500), wins 0/4, bit-equal no")
 
 
 def test_checkouts_must_hold_the_kernels(tmp_path, capsys):
@@ -127,3 +128,24 @@ def test_a_change_that_sleeps_loses_every_pair(tmp_path, monkeypatch, capsys):
     for name in ("predict_wide", "predict_wide_w1", "predict_b1"):
         ratio, wins, pairs = summary[name]
         assert ratio > 1 and (wins, pairs) == (0, 2)
+
+
+def _bit_equal(argv, capsys):
+    """The tool's bit-equal verdict per case, from its summary lines."""
+    assert kab.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[-len(TINY):]
+    return dict(re.fullmatch(r"(\w+) \[ms\]: .*, wins \d+/\d+, bit-equal (yes|no)", line).groups() for line in lines)
+
+
+def test_identical_checkouts_are_bit_equal(tmp_path, monkeypatch, capsys):
+    equal = _bit_equal(_checkouts(tmp_path, monkeypatch) + ["--pairs", "2"], capsys)
+    assert equal == {name: "yes" for name, *_ in TINY}
+
+
+def test_a_change_one_ulp_off_is_not_bit_equal(tmp_path, monkeypatch, capsys):
+    # the change's forecasts move one ulp up; its training is untouched
+    ulp = ("\n\n_lstm_predict = lstm_predict\n\n\n"
+           "def lstm_predict(*args):\n    return np.nextafter(_lstm_predict(*args), np.inf)\n")
+    equal = _bit_equal(_checkouts(tmp_path, monkeypatch, ulp) + ["--pairs", "2"], capsys)
+    assert equal == {"predict_wide": "no", "predict_wide_w1": "no", "train_b4": "yes", "predict_b1": "no"}
+    assert kab.same_bits((np.zeros(2),), (-np.zeros(2),)) is False

@@ -2,7 +2,10 @@
 uncached forward passes, bit-identity with the model-order recurrence, and
 the names the benchmark harness reads."""
 
+import ast
+import inspect
 import itertools
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -341,6 +344,43 @@ def test_predictions_do_not_share_scratch():
         second = lstm.predict_windows(params, rng.normal(size=(batch, 7, 3)))
         assert np.array_equal(first, kept)
         assert not np.shares_memory(first, second)
+
+
+def test_kernels_never_call_np_dot(monkeypatch):
+    # ndarray.dot runs the same C product as np.dot, without the Python
+    # dispatcher np.dot runs first on every call; B=1 takes the fused
+    # product, B=32 and B=1960 at H=64 the per-gate one
+    cases = {batch: _random_case(batch, hidden=64, lookback=5, batch=batch) for batch in (1, 32, 1960)}
+    expect = {}
+    for batch, (p, x) in cases.items():
+        y, acts = K.lstm_forward(p.wx, p.wh, p.b, p.w_out, p.b_out, x)
+        grads = K.lstm_backward(p.wx, p.wh, p.w_out, x, acts, y) if batch < 1960 else ()
+        expect[batch] = (K.lstm_predict(p.wx, p.wh, p.b, p.w_out, p.b_out, x), y, *grads)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    for batch, (p, x) in cases.items():
+        y, acts = K.lstm_forward(p.wx, p.wh, p.b, p.w_out, p.b_out, x)
+        grads = K.lstm_backward(p.wx, p.wh, p.w_out, x, acts, y) if batch < 1960 else ()
+        got = (K.lstm_predict(p.wx, p.wh, p.b, p.w_out, p.b_out, x), y, *grads)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect[batch], strict=True)), batch
+
+
+@pytest.mark.parametrize("kernel", [K._recur, K.lstm_backward])
+def test_step_loops_pass_no_float_literal(kernel):
+    # numpy 2 promotes a Python float as a weak scalar, which costs a ufunc
+    # call more than a float64 array such as K.ONE does
+    loops = [node for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(kernel))))
+             if isinstance(node, ast.For)]
+    calls = [node for loop in loops for stmt in loop.body for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+    assert len(calls) >= 10
+    for call in calls:
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            literal = arg.operand if isinstance(arg, ast.UnaryOp) else arg
+            assert not (isinstance(literal, ast.Constant) and isinstance(literal.value, float)), ast.unparse(call)
+    assert K.ONE.dtype == np.float64 and K.ONE.shape == () and not K.ONE.flags.writeable
 
 
 def test_benchmark_harness_names_exist():

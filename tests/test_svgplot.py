@@ -1,10 +1,13 @@
 """SVG rendering: deterministic text output, sane structure."""
 
+import re
+import sys
 import warnings
 
 import numpy as np
+import pytest
 
-from deckmotion import svgplot
+from deckmotion import cli, svgplot
 
 
 def test_line_chart_structure():
@@ -26,6 +29,18 @@ def test_render_deterministic():
 def test_flat_data_does_not_degenerate():
     x = np.arange(10.0)
     svg = svgplot.render_panels(x, [("", [("flat", np.zeros(10))])])
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("v", [1e17, -1e17, sys.float_info.max, -sys.float_info.max])
+def test_flat_channel_beyond_unit_spacing_plots(tmp_path, v):
+    # widening a flat axis by 1.0 leaves it flat where one spacing exceeds 1.0
+    data, out = tmp_path / "flat.csv", tmp_path / "flat.svg"
+    data.write_text("t,heave,pitch,roll\n" + "".join(f"{0.1 * k!r},{v!r},0.0,0.0\n" for k in range(3)))
+    assert cli.main(["plot", "--data", str(data), "--out", str(out), "--quiet"]) == 0
+    svg = out.read_text()
+    points = [float(c) for pts in re.findall(r'points="([^"]*)"', svg) for c in re.split("[ ,]", pts)]
+    assert len(points) == 3 * 2 * 3 and all(np.isfinite(points))
     assert "nan" not in svg and "inf" not in svg
 
 

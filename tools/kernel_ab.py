@@ -18,15 +18,17 @@ The forecasts take read-only copies of the weights, as a loaded model's
 are, and training takes them writable, as Adam's are; both sides get the
 very same arrays.
 
-In a pair, each case makes one warm-up call per side, then alternates the
-sides call by call, in tools/bench_ab.py's order: the parent first in pair 1
-and in every other pair after it. A case's ratio is the median change/parent
+In a pair, each case makes one warm-up call per side, whose outputs are
+compared byte for byte, then alternates the sides call by call, in
+tools/bench_ab.py's order: the parent first in pair 1 and in every other
+pair after it. A case's ratio is the median change/parent
 ratio of adjacent calls, so a phase of the host that outlasts a call slows
 both sides alike. A pair prints `pair K (parent first): CASE P / C ms (R),
 ...`, with each side's median call and the ratio R. The summary gives, per
 case, each side's median ms over the pairs with quartiles, the median ratio
-with quartiles, and the change's wins, the pairs with a ratio below 1.
-Stdlib and numpy only.
+with quartiles, the change's wins, the pairs with a ratio below 1, and
+`bit-equal yes` if the two sides' warm-up outputs held the same bytes in
+every pair (`no` otherwise). Stdlib and numpy only.
 """
 
 from __future__ import annotations
@@ -78,31 +80,39 @@ def make_inputs() -> dict:
 
 
 def case_call(K, name, inputs):
-    """One call of case name on the kernels module K, as a function of no arguments."""
+    """One call of case name on the kernels module K, as a function of no
+    arguments that returns the kernels' output arrays as a tuple."""
     (wx, wh, b, w_out, b_out), x, dy = inputs[name]
     if name.startswith("train"):
         def call():
-            _, acts = K.lstm_forward(wx, wh, b, w_out, b_out, x)
-            K.lstm_backward(wx, wh, w_out, x, acts, dy)
+            y, acts = K.lstm_forward(wx, wh, b, w_out, b_out, x)
+            return y, acts, *K.lstm_backward(wx, wh, w_out, x, acts, dy)
     else:
         def call():
-            K.lstm_predict(wx, wh, b, w_out, b_out, x)
+            return (K.lstm_predict(wx, wh, b, w_out, b_out, x),)
     return call
 
 
-def time_pair(sides, inputs, order: tuple[int, int]) -> dict:
-    """Per case, (parent ms, change ms, ratio) for one pair run in order:
+def same_bits(a: tuple, b: tuple) -> bool:
+    """Whether two tuples of arrays hold the same shapes and bytes."""
+    return len(a) == len(b) and all(u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+def time_pair(sides, inputs, order: tuple[int, int]) -> tuple[dict, dict]:
+    """For one pair run in order, per case: (parent ms, change ms, ratio),
     each side's median call and the median change/parent ratio of adjacent
-    calls."""
-    out = {}
+    calls; and whether the two sides' warm-up outputs are bit-equal."""
+    out, equal = {}, {}
     for name, _, calls, workers in CASES:
         own = [K._cpu_count for K in sides]
         if workers is not None:
             for K in sides:
                 K._cpu_count = lambda: workers
         fns = [case_call(K, name, inputs) for K in sides]
+        warm = [None, None]
         for side in order:
-            fns[side]()
+            warm[side] = fns[side]()
+        equal[name] = same_bits(*warm)
         ms = ([], [])
         for _ in range(calls):
             for side in order:
@@ -113,7 +123,7 @@ def time_pair(sides, inputs, order: tuple[int, int]) -> dict:
             K._cpu_count = count
         out[name] = (statistics.median(ms[0]), statistics.median(ms[1]),
                      statistics.median(c / p for p, c in zip(*ms)))
-    return out
+    return out, equal
 
 
 def summarize(pairs: list[dict]) -> list[dict]:
@@ -128,12 +138,14 @@ def summarize(pairs: list[dict]) -> list[dict]:
     return rows
 
 
-def report(pairs: list[dict]) -> str:
+def report(pairs: list[dict], equal: dict) -> str:
+    """summarize's rows as text, each with its case's bit-equality over
+    every pair from equal."""
     out = []
     for row in summarize(pairs):
         r1, r3 = row["ratio_quartiles"]
         out.append(f"{medians_text(row)}, ratio {row['ratio']:.4f} ({r1:.4f}-{r3:.4f}), "
-                   f"wins {row['wins']}/{row['pairs']}")
+                   f"wins {row['wins']}/{row['pairs']}, bit-equal {'yes' if equal[row['name']] else 'no'}")
     return "\n".join(out)
 
 
@@ -141,13 +153,15 @@ def main(argv=None) -> int:
     args, dirs = parse_checkouts(pair_parser(__doc__), argv, KERNELS)
     sides = [load(d / KERNELS, f"kernels_{side}") for d, side in zip(dirs, SIDES)]
     inputs = make_inputs()
-    pairs = []
+    pairs, equal = [], {name: True for name, *_ in CASES}
     for k in range(args.pairs):
         order = pair_order(k)
-        pairs.append(time_pair(sides, inputs, order))
+        timings, same = time_pair(sides, inputs, order)
+        pairs.append(timings)
+        equal = {name: equal[name] and same[name] for name in equal}
         cells = [f"{name} {p:.4g} / {c:.4g} ms ({r:.4f})" for name, (p, c, r) in pairs[-1].items()]
         print(f"pair {k + 1} ({SIDES[order[0]]} first): " + ", ".join(cells), flush=True)
-    print(report(pairs))
+    print(report(pairs, equal))
     return 0
 
 
