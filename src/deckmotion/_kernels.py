@@ -13,6 +13,8 @@ Layouts (everything float64):
                        c_{t-1} (zero at t = 0), tanh(c_t) and h_t of step t
 Per step, with z = x_t wx^T + h wh^T + b in model order: i, f and o are
 sigmoid(z) = 1 / (1 + exp(-z)), g = tanh(z), c' = f*c + i*g, h' = o*tanh(c').
+_recur ignores overflow: exp(-z) of a saturated gate is inf by design, and
+1 / (1 + inf) is the exact 0.
 
 Every output is bit-identical to these expressions in model order, and
 lstm_predict's to the unblocked pass, by four rules:
@@ -34,10 +36,10 @@ lstm_predict's to the unblocked pass, by four rules:
 A step's pre-activations are gate-major (4, rows, H) on the per-gate path
 and row-major (rows, 4H) on the fused one, the same bytes at B=1, and the
 bias is repeated to their shape: numpy runs a ufunc over operands of
-different layouts or shapes through an iterator buffer of up to 64 KiB
-that it allocates per call. The cache is slot-major, so that i, f and o
-are the one block the fused sigmoid writes, and c_{t-1} sits after g_t,
-so that lstm_backward takes dc * g and dc * c_{t-1} in one multiply.
+different layouts or shapes through an iterator buffer that it allocates
+per call. The cache is slot-major, so that i, f and o are the one block
+the fused sigmoid writes, and c_{t-1} sits after g_t, so that
+lstm_backward takes dc * g and dc * c_{t-1} in one multiply.
 
 lstm_predict splits a batch wider than PREDICT_ROWS = 224 windows into
 blocks of near-equal size, because at H=64 a 224-row block's gate array
@@ -51,7 +53,7 @@ each GEMM and ufunc, so the threads overlap.
     allocates nothing per step: a thread that allocates grows a malloc
     arena of its own.
   - Helpers run in a copy of the caller's contextvars context, where
-    np.errstate lives, so that saturated gates raise no overflow warning.
+    np.errstate lives, so that the caller's settings hold in every block.
   - Each worker records its own failure, and the caller re-raises the
     first once every started helper has joined.
 A narrower batch runs as one block in the calling thread, since a B=1
@@ -59,13 +61,12 @@ call would pay for threads and a result array it cannot use.
 
 _FUSED keeps the fused weights of a model whose wx, wh and b are all
 read-only and own their memory (a.base is None), as a loaded model's are,
-because a landing stream forecasts from one model sample after sample.
-It is keyed on id(wh), with wx and b checked by identity, and a
-weakref.finalize on wh drops the entry, so an id is never reused while
-kept. Writable weights, which Adam updates in place, and read-only views
-of writable memory can change, so they are fused on every call. Weights
-made writable, edited and made read-only again between two calls would be
-served stale: callers must not do that to weights they forecast from.
+since a landing stream forecasts from one model sample after sample. The
+entry is keyed on id(wh), with wx and b checked by identity, and stored
+with a weakref.finalize on wh that drops it, so no id is reused while kept.
+Writable weights, which Adam updates in place, and read-only views of
+writable memory are fused on every call. Weights made writable, edited and
+made read-only again between two calls would be served stale.
 
 The step loops are lean, because at B=1 the Python-side cost of each numpy
 call is a visible share of a step: ufuncs are bound to locals, outputs are
@@ -75,9 +76,8 @@ once per call, and three rules hold that change no bit:
       Python float 1.0, which numpy 2 promotes as a weak scalar on every call.
   (b) Products call np.ndarray.dot, the C routine np.dot reaches only after
       a Python-level array-function dispatcher.
-  (c) A step's sum lands in zh, so the sigmoid and tanh views of it are made
-      once per call, not per step; zx + zh equals zh + zx, as IEEE addition
-      commutes.
+  (c) A step's sum lands in zh, so its sigmoid and tanh views are made once
+      per call; zx + zh equals zh + zx, as IEEE addition commutes.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ NUMBA_ENABLED = False
 # Widest batch block lstm_predict runs through the recurrence at once.
 PREDICT_ROWS = 224
 
-# _fused's weights of read-only models, keyed on id(wh): (wx, b, wxf, whf, bcol)
+# _fused's weights of read-only models, keyed on id(wh): (wx, b, wxf, whf, bf)
 _FUSED = {}
 
 # the step loops' 1.0 (rule (a) in the module docstring)
@@ -114,8 +114,7 @@ def _per_gate(rows, H):
 
 def _aligned(shape):
     """An uninitialised float64 array whose data starts on a 64-byte
-    boundary, where np.empty's may not: a B=1 GEMV's speed depends on it,
-    and a kept copy would fix that speed for a whole stream."""
+    boundary, where np.empty's may not: a B=1 GEMV's speed depends on it."""
     n = math.prod(shape)
     buf = np.empty(n + 7)
     k = -buf.ctypes.data % 64 // 8
@@ -123,9 +122,8 @@ def _aligned(shape):
 
 
 def _fused(wx, wh, b):
-    """(wxf, whf, bcol): wx, wh, and b as a (4H, 1) column, with the gate
-    blocks ordered i, f, o, g and those of i, f and o negated. Read-only
-    weights that own their memory are fused once, kept read-only in _FUSED."""
+    """(wxf, whf, bf): wx, wh and b with the gate blocks ordered i, f, o, g
+    and those of i, f and o negated, whf 64-byte aligned; memoised in _FUSED."""
     frozen = not (wx.flags.writeable or wh.flags.writeable or b.flags.writeable)
     frozen = frozen and wx.base is None and wh.base is None and b.base is None
     if not frozen:
@@ -135,36 +133,34 @@ def _fused(wx, wh, b):
     if hit is not None and hit[0] is wx and hit[1] is b:
         return hit[2:]
     H = wh.shape[1]
-    wxf, bcol = np.empty_like(wx), np.empty((4 * H, 1))
-    whf = _aligned(wh.shape) if frozen else np.empty_like(wh)
+    wxf, whf, bf = np.empty_like(wx), _aligned(wh.shape), np.empty_like(b)
     # slices and np.negative, not fancy indexing, which is slower
-    for w, v in ((wx, wxf), (wh, whf), (b[:, None], bcol)):
+    for w, v in ((wx, wxf), (wh, whf), (b, bf)):
         np.negative(w[: 2 * H], v[: 2 * H])
         np.negative(w[3 * H :], v[2 * H : 3 * H])
         v[3 * H :] = w[2 * H : 3 * H]
     if frozen and hit is None:
-        for v in (wxf, whf, bcol):
+        for v in (wxf, whf, bf):
             v.setflags(write=False)
-        entry = (wx, b, wxf, whf, bcol)
-        # one entry and one finalizer per wh, if two threads both missed
-        if _FUSED.setdefault(id(wh), entry) is entry:
-            weakref.finalize(wh, _FUSED.pop, id(wh), None).atexit = False
-    return wxf, whf, bcol
+        _FUSED[id(wh)] = (wx, b, wxf, whf, bf)
+        weakref.finalize(wh, _FUSED.pop, id(wh), None).atexit = False
+    return wxf, whf, bf
 
 
 def _gate_weights(wx, wh, b, rows):
     """The (wx^T, wh^T, brows) _recur takes for blocks of `rows` rows: the
     fused (D, 4H) and (H, 4H) views and a (rows, 4H) bias, or, per gate, the
     contiguous (4, D, H) and (4, H, H) gate-block stacks and a (4, rows, H) bias."""
-    wxf, whf, bcol = _fused(wx, wh, b)
+    wxf, whf, bf = _fused(wx, wh, b)
     H = wh.shape[1]
     if not _per_gate(rows, H):
-        return wxf.T, whf.T, bcol.T if rows == 1 else np.repeat(bcol.T, rows, axis=0)
+        return wxf.T, whf.T, bf[None] if rows == 1 else np.repeat(bf[None], rows, axis=0)
     # x4[k] and w4[k] are wx^T's and wh^T's gate block k
     x4, w4 = (np.ascontiguousarray(w.reshape(4, H, -1).swapaxes(1, 2)) for w in (wxf, whf))
-    return x4, w4, np.repeat(bcol.reshape(4, 1, H), rows, axis=1)
+    return x4, w4, np.repeat(bf.reshape(4, 1, H), rows, axis=1)
 
 
+@np.errstate(over="ignore")
 def _recur(wxt, wht, brows, x, acts, proj, zh):
     """Run the recurrence over x from a zero state; return the last h (B, H).
 
@@ -176,9 +172,9 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     """
     B, H = acts.shape[2:]
     L, n = x.shape[0], proj.shape[0]
-    # a step's sum lands in zh: -z of the sigmoid gates as (3, B, H),
-    # matching a slot's i, f, o, and z of the cell candidate; gate-major,
-    # both are contiguous blocks, and the input GEMM runs per gate
+    # zs is -z of the sigmoid gates as (3, B, H), like a slot's i, f, o, and
+    # zg the cell candidate's z; gate-major, both are contiguous blocks and
+    # the input GEMM runs per gate
     if wht.ndim == 3:
         rec, xs, zs, zg = np.matmul, x[:, None], zh[:3], zh[3]
     else:
@@ -198,8 +194,7 @@ def _recur(wxt, wht, brows, x, acts, proj, zh):
     h = acts[-1, 6]
     acts[0, 4] = 0.0
     h[...] = 0.0
-    # step t takes slot t % S; the cycle goes on from stretch to stretch,
-    # and keeps S slot tuples, not one per step
+    # step t takes slot t % S across stretches, from S tuples, not L
     walk = itertools.cycle(slots)
     for s in range(0, L, n):
         m = min(n, L - s)
@@ -311,8 +306,7 @@ def _cpu_count():
 def lstm_predict(wx, wh, b, w_out, b_out, x):
     """Forward pass without activation caching; returns the (B, K) output.
     A batch wider than PREDICT_ROWS windows runs in blocks on every CPU the
-    process may use, and the head once on their joined last hidden states.
-    """
+    process may use, and the head once on their joined last hidden states."""
     L, B, _ = x.shape
     H = wh.shape[1]
     if B <= PREDICT_ROWS:
@@ -323,7 +317,6 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
     n = -(-n // workers) * workers
     rows = -(-B // n)
     bounds = [B * k // n for k in range(n + 1)]
-    # allocated here, not in the helpers (see the module docstring)
     h = np.empty((B, H))
     wxt, wht, brows = _gate_weights(wx, wh, b, rows)
     scratch = [_scratch(rows, H, L) for _ in range(workers)]
@@ -341,8 +334,6 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 
-    # each helper runs in a copy of the caller's context, which carries
-    # numpy's errstate
     threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, w)) for w in range(1, workers)]
     started = []
     try:

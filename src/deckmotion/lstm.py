@@ -96,8 +96,7 @@ def _kernel_input(windows: np.ndarray) -> np.ndarray:
 def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """Predict a whole (B, L, 3) batch at once; returns (B, 3)."""
     x = _kernel_input(windows)
-    with np.errstate(over="ignore"):
-        return lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+    return lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
 
 
 def loss_and_gradients(
@@ -113,8 +112,8 @@ def loss_and_gradients(
     if targets.shape != (len(windows), CHANNEL_DIM):
         raise ValueError(f"targets shape {targets.shape} does not match batch")
     x = _kernel_input(windows)
-    # overflow/invalid are legitimate here: saturated gates are well-defined,
-    # and a diverging loss goes non-finite, which the training loop aborts on
+    # a diverging batch overflows and goes non-finite, which the training
+    # loop aborts on
     with np.errstate(over="ignore", invalid="ignore"):
         y, acts = lstm_forward(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
         diff = y - targets

@@ -166,7 +166,7 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
         "format_version": FORMAT_VERSION,
         "config": {
             "input_dim": CHANNEL_DIM,
-            "hidden_dim": artifact.config.hidden_dim,
+            "hidden_dim": H,
             "output_dim": CHANNEL_DIM,
             "lookback": artifact.config.lookback,
         },
@@ -185,7 +185,7 @@ def model_from_dict(doc: dict) -> ModelArtifact:
     json_object(doc, "model document")
     if "format_version" not in doc:
         raise ValueError("missing format_version")
-    version = doc["format_version"]
+    version = json_int(doc["format_version"], "format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unknown format_version {version!r}")
     try:

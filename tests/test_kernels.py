@@ -3,6 +3,7 @@ uncached forward passes, bit-identity with the model-order recurrence, and
 the names the benchmark harness reads."""
 
 import ast
+import gc
 import inspect
 import itertools
 import textwrap
@@ -279,6 +280,44 @@ def test_edited_weights_are_never_served_stale():
     assert id(params.wh) not in K._FUSED and id(kept[1]) not in K._FUSED
 
 
+def test_concurrent_first_forecasts_keep_one_entry(monkeypatch, tmp_path):
+    # two threads make the first forecasts from one freshly loaded model,
+    # at B=1 and in blocks at B=1960, and both miss _FUSED: each waits in
+    # _aligned until the other has missed too. Each forecast must equal a
+    # writable copy's, the model must hold one entry, and none may outlive it
+    config = LstmConfig(hidden_dim=64, lookback=40)
+    path = tmp_path / "model.json"
+    training.save_model(training.ModelArtifact(config, init_params(config, 5), seriesdata.Normalizer()), path)
+    params = training.load_model(path).params
+    rng = np.random.default_rng(5)
+    windows = {batch: rng.normal(size=(batch, 40, 3)) for batch in (1, 1960)}
+    expected = {batch: lstm.predict_windows(params.copy(), w) for batch, w in windows.items()}
+    both_missed = threading.Barrier(2, timeout=10)
+    aligned = K._aligned
+
+    def aligned_once_both_missed(shape):
+        both_missed.wait()
+        return aligned(shape)
+
+    monkeypatch.setattr(K, "_aligned", aligned_once_both_missed)
+    got = {}
+    threads = [threading.Thread(target=lambda b=b: got.update({b: lstm.predict_windows(params, windows[b])}))
+               for b in windows]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    for batch in windows:
+        assert np.array_equal(got[batch], expected[batch]), batch
+    key = id(params.wh)
+    assert [entry[0] is params.wx for entry in K._FUSED.values()].count(True) == 1
+    assert K._FUSED[key][0] is params.wx and K._FUSED[key][1] is params.b
+    del params
+    gc.collect()
+    assert key not in K._FUSED
+
+
 def test_threaded_predict_keeps_callers_errstate(monkeypatch):
     # saturated gates overflow exp; predict_windows silences that with
     # np.errstate, which a helper thread sees only through the caller's
@@ -289,6 +328,25 @@ def test_threaded_predict_keeps_callers_errstate(monkeypatch):
     windows[::2] *= -1.0
     y = lstm.predict_windows(params, windows)
     assert np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("batch", [1, K.PREDICT_ROWS + 1])
+def test_gate_overflow_is_ignored_under_any_caller_errstate(monkeypatch, batch):
+    # exp(-z) of a saturated gate is inf by design; a caller that raises on
+    # overflow must get the same finite forecast, in its own block and in a
+    # helper's, as one that ignores it
+    monkeypatch.setattr(K, "_cpu_count", lambda: 2)
+    params = init_params(LstmConfig(hidden_dim=8, lookback=7), 3)
+    windows = np.full((batch, 7, 3), 1e4)
+    windows[::2] *= -1.0
+    windows[:, ::2] *= -1.0
+    args = (*params.arrays(), lstm._kernel_input(windows))
+    with np.errstate(over="ignore"):
+        expected = K.lstm_predict(*args)
+    with np.errstate(over="raise"):
+        y = K.lstm_predict(*args)
+    assert np.all(np.isfinite(y))
+    assert np.array_equal(y, expected)
 
 
 def test_helper_exception_propagates(monkeypatch):

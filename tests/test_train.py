@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from deckmotion import _kernels as K
+from deckmotion import cli
 from deckmotion import lstm as L
 from deckmotion import seriesdata as sd
 from deckmotion import training as tr
@@ -268,6 +269,36 @@ def test_load_unknown_version(artifact, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unknown format_version 999"):
         tr.load_model(path)
+
+
+def test_load_version_that_is_no_integer(artifact, tmp_path, capsys):
+    # format_version is read as every other integer field is: true is no 1
+    series = sd.sample_series(wg.knox_training_model(), 40, 0.25)
+    data = tmp_path / "series.csv"
+    data.write_text(sd.series_to_csv(series.times, series.samples))
+    doc = tr.model_to_dict(artifact)
+    doc["format_version"] = True
+    path = tmp_path / "vtrue.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format_version must be an integer, got True"):
+        tr.load_model(path)
+    argv = ["predict", "--model", str(path), "--data", str(data), "--out", str(tmp_path / "pred.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.endswith("format_version must be an integer, got True\n")
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_hidden_dim_is_written_from_the_weights(tmp_path):
+    # the file splits the weights by their own hidden size, so it declares
+    # that one, whatever the artifact's config says
+    params = L.init_params(L.LstmConfig(hidden_dim=16, lookback=10), 0)
+    artifact = tr.ModelArtifact(L.LstmConfig(hidden_dim=8, lookback=10), params, sd.Normalizer())
+    path = tmp_path / "model.json"
+    tr.save_model(artifact, path)
+    loaded = tr.load_model(path)
+    assert loaded.config == L.LstmConfig(hidden_dim=16, lookback=10)
+    for got, want in zip(loaded.params.arrays(), params.arrays(), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_load_truncated_file(artifact, tmp_path):
