@@ -13,8 +13,9 @@ Layouts (everything float64):
                        c_{t-1} (zero at t = 0), tanh(c_t) and h_t of step t
 Per step, with z = x_t wx^T + h wh^T + b in model order: i, f and o are
 sigmoid(z) = 1 / (1 + exp(-z)), g = tanh(z), c' = f*c + i*g, h' = o*tanh(c').
-_recur ignores overflow: exp(-z) of a saturated gate is inf by design, and
-1 / (1 + inf) is the exact 0.
+_recur, like every np.errstate block of the library, ignores every
+floating-point condition, whatever the calling thread has set: exp(-z) of a
+saturated gate is inf by design, and 1 / (1 + inf) is the exact 0.
 
 Every output is bit-identical to these expressions in model order, and
 lstm_predict's to the unblocked pass, by four rules:
@@ -52,8 +53,6 @@ each GEMM and ufunc, so the threads overlap.
   - The caller allocates every buffer the workers use, and _recur
     allocates nothing per step: a thread that allocates grows a malloc
     arena of its own.
-  - Helpers run in a copy of the caller's contextvars context, where
-    np.errstate lives, so that the caller's settings hold in every block.
   - Each worker records its own failure, and the caller re-raises the
     first once every started helper has joined.
 A narrower batch runs as one block in the calling thread, since a B=1
@@ -82,7 +81,6 @@ once per call, and three rules hold that change no bit:
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
@@ -160,7 +158,7 @@ def _gate_weights(wx, wh, b, rows):
     return x4, w4, np.repeat(bf.reshape(4, 1, H), rows, axis=1)
 
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def _recur(wxt, wht, brows, x, acts, proj, zh):
     """Run the recurrence over x from a zero state; return the last h (B, H).
 
@@ -334,7 +332,7 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, w)) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
     started = []
     try:
         for thread in threads:

@@ -89,7 +89,7 @@ def predict_series(
     # RMS of samples 0..j-1 about the offset, for each target j; hypot keeps
     # the running root-sum-square finite where squaring a sample would overflow,
     # and where even that overflows, ForecastResult rejects the forecast
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         rms = np.hypot.accumulate(deviation, axis=0)[indices - 1] / np.sqrt(indices)[:, None]
         scale = np.where(rms > 0.0, rms, norm.scale)
         windows = lookback_windows(deviation, lookback)[start_index - lookback:] / scale[:, None, :]
@@ -98,13 +98,16 @@ def predict_series(
 
 
 def error_report(result: ForecastResult) -> ErrorReport:
-    """Absolute error per point and channel, plus channel MAE and maximum."""
-    abs_errors = np.abs(result.predictions - result.truths)
-    return ErrorReport(
-        abs_errors=abs_errors,
-        mae=abs_errors.mean(axis=0),
-        max_error=abs_errors.max(axis=0),
-    )
+    """Absolute error per point and channel, plus channel MAE and maximum.
+    A finite forecast of a series near the float64 limit can still miss it
+    by more than that range, which raises ValueError."""
+    # an error or a sum that overflows is inf, and so is the channel's MAE
+    with np.errstate(all="ignore"):
+        abs_errors = np.abs(result.predictions - result.truths)
+        mae = abs_errors.mean(axis=0)
+    if not np.all(np.isfinite(mae)):
+        raise ValueError("forecast errors exceed the float64 range")
+    return ErrorReport(abs_errors=abs_errors, mae=mae, max_error=abs_errors.max(axis=0))
 
 
 def summary_dict(report: ErrorReport) -> dict:

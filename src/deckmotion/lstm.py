@@ -114,7 +114,7 @@ def loss_and_gradients(
     x = _kernel_input(windows)
     # a diverging batch overflows and goes non-finite, which the training
     # loop aborts on
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         y, acts = lstm_forward(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
         diff = y - targets
         loss = float(np.mean(diff * diff))

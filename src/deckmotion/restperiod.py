@@ -60,7 +60,7 @@ def calm_mask(samples: np.ndarray, dt: float, criteria: RestCriteria) -> np.ndar
         heave = samples[:, 0]
         if len(heave) > 1:
             # a rate that overflows is inf, which is rightly not calm
-            with np.errstate(over="ignore"):
+            with np.errstate(all="ignore"):
                 rate = np.gradient(heave, dt)
         else:
             rate = np.zeros(1)  # a single sample carries no velocity information

@@ -203,7 +203,7 @@ def fit_normalizer(series: MotionSeries, fit_range_end: int) -> Normalizer:
     if fit_range_end > len(series):
         raise ValueError(f"fit_range_end {fit_range_end} exceeds series length {len(series)}")
     segment = series.samples[:fit_range_end]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         offset = segment.mean(axis=0)
         scale = segment.std(axis=0)
         big = ~np.isfinite(scale)
@@ -250,7 +250,7 @@ def _uniformly_spaced(times: np.ndarray) -> bool:
     atol = min(1e-9 * max(1.0, float(times.max()), -float(times.min())), 0.25 * dt)
     ulp = np.spacing(max(abs(t0), abs(t1)))
     # a difference that overflows is inf, which fails the check as it should
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         for lo in range(0, len(times), CHECK_ROWS):
             t = times[lo : lo + CHECK_ROWS]
             k = np.arange(lo, lo + len(t))

@@ -132,7 +132,7 @@ def train(
 
     # a last batch that diverged can leave weights so large that the test
     # forecast or its squared error overflows
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         diff = predict_windows(params, split.test.inputs) - split.test.targets
         final_test_loss = float(np.mean(diff * diff))
     if not math.isfinite(final_test_loss):

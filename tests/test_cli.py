@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -140,6 +142,19 @@ def test_cli_flag_census():
         for name, sub in subparsers.items()
     }
     assert found == expected
+
+
+def test_readme_commands_parse():
+    """Every deckmotion command in the README's bash blocks parses, so a
+    renamed or deleted flag cannot leave the README behind."""
+    readme = (Path(cli.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.DOTALL)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for line in lines if (argv := shlex.split(line, comments=True))[:1] == ["deckmotion"]]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -442,6 +457,37 @@ def test_overflowing_forecast_exits_1(pipeline, tmp_path):
     assert not out_json.exists()
     with pytest.raises(ValueError):
         wg.json_text({"mae": float("inf")})
+
+
+def test_overflowing_forecast_errors_exit_1(tmp_path, capsys):
+    # the forecast, 3 times the causal RMS 5e307, is finite, but its error
+    # against a sample of the other sign is not
+    H = 4
+    artifact = tr.ModelArtifact(
+        config=LstmConfig(hidden_dim=H, lookback=10),
+        params=LstmParams(
+            wx=np.zeros((4 * H, 3)), wh=np.zeros((4 * H, H)), b=np.zeros(4 * H),
+            w_out=np.zeros((3, H)), b_out=np.array([3.0, 0.0, 0.0]),
+        ),
+        normalizer=sd.Normalizer(),
+    )
+    model = tmp_path / "model.json"
+    tr.save_model(artifact, model)
+    samples = np.tile([0.0, 0.1, 0.2], (12, 1))
+    samples[:, 0] = 5e307 * (-1.0) ** np.arange(1, 13)
+    data = tmp_path / "series.csv"
+    data.write_text(_csv(sd.MotionSeries(dt=0.1, samples=samples)))
+    out_json = tmp_path / "summary.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv", "--quiet") == 0
+        code = run(
+            "evaluate", "--model", model, "--data", data,
+            "--out-csv", tmp_path / "errors.csv", "--out-json", out_json, "--quiet",
+        )
+    assert code == 1
+    assert not out_json.exists()
+    assert capsys.readouterr().err == "deckmotion: error: forecast errors exceed the float64 range\n"
 
 
 def test_time_column_beyond_float64_range(tmp_path, capsys):

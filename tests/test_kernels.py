@@ -319,9 +319,10 @@ def test_concurrent_first_forecasts_keep_one_entry(monkeypatch, tmp_path):
 
 
 def test_threaded_predict_keeps_callers_errstate(monkeypatch):
-    # saturated gates overflow exp; predict_windows silences that with
-    # np.errstate, which a helper thread sees only through the caller's
-    # context (tier-1 turns any RuntimeWarning into a failure)
+    # saturated gates overflow exp; the recurrence ignores that in every
+    # worker, helper threads included, so a forecast split across two
+    # workers under numpy's default errstate stays finite and silent
+    # (tier-1 turns any RuntimeWarning into a failure)
     monkeypatch.setattr(K, "_cpu_count", lambda: 2)
     params = init_params(LstmConfig(hidden_dim=8, lookback=7), 3)
     windows = np.full((K.PREDICT_ROWS + 1, 7, 3), 1e4)
@@ -330,23 +331,29 @@ def test_threaded_predict_keeps_callers_errstate(monkeypatch):
     assert np.all(np.isfinite(y))
 
 
+# numpy's default errstate and five callers that raise on one condition or
+# on all; the default warns on overflow, which tier-1 turns into a failure
+CALLER_ERRSTATES = ({}, {"over": "raise"}, {"under": "raise"}, {"invalid": "raise"},
+                    {"divide": "raise"}, {"all": "raise"})
+
+
 @pytest.mark.parametrize("batch", [1, K.PREDICT_ROWS + 1])
 def test_gate_overflow_is_ignored_under_any_caller_errstate(monkeypatch, batch):
-    # exp(-z) of a saturated gate is inf by design; a caller that raises on
-    # overflow must get the same finite forecast, in its own block and in a
-    # helper's, as one that ignores it
+    # exp(-z) of a saturated gate is inf by design; whatever the caller has
+    # set, it gets the same finite forecast, in its own block and in a
+    # helper's, which starts from numpy's default errstate
     monkeypatch.setattr(K, "_cpu_count", lambda: 2)
     params = init_params(LstmConfig(hidden_dim=8, lookback=7), 3)
     windows = np.full((batch, 7, 3), 1e4)
     windows[::2] *= -1.0
     windows[:, ::2] *= -1.0
     args = (*params.arrays(), lstm._kernel_input(windows))
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         expected = K.lstm_predict(*args)
-    with np.errstate(over="raise"):
-        y = K.lstm_predict(*args)
-    assert np.all(np.isfinite(y))
-    assert np.array_equal(y, expected)
+    assert np.all(np.isfinite(expected))
+    for errstate in CALLER_ERRSTATES:
+        with np.errstate(**errstate):
+            assert np.array_equal(K.lstm_predict(*args), expected), errstate
 
 
 def test_helper_exception_propagates(monkeypatch):

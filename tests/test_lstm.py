@@ -209,6 +209,22 @@ def test_loss_rejects_empty_or_mismatched_batch():
         L.loss_and_gradients(p, np.zeros((2, 5, 2)), np.zeros((2, 3)))
 
 
+def test_loss_and_gradients_ignore_a_strict_callers_errstate():
+    # saturated gates overflow exp, and their gradients underflow; a caller
+    # that raises on every condition gets the bits numpy's default gives
+    p = L.init_params(L.LstmConfig(hidden_dim=64, lookback=40), 2)
+    windows = np.full((32, 40, 3), 1e4)
+    windows[::2] *= -1.0
+    windows[:, ::2] *= -1.0
+    targets = np.zeros((32, 3))
+    loss, grads = L.loss_and_gradients(p, windows, targets)
+    with np.errstate(all="raise"):
+        strict_loss, strict_grads = L.loss_and_gradients(p, windows, targets)
+    assert math.isfinite(loss) and strict_loss == loss
+    for g, strict in zip(grads, strict_grads, strict=True):
+        assert np.array_equal(strict, g)
+
+
 def test_duplicated_batch_has_same_loss_and_gradients():
     p = L.init_params(L.LstmConfig(hidden_dim=5), 7)
     rng = np.random.default_rng(6)

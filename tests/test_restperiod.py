@@ -185,3 +185,12 @@ def test_overflowing_heave_rate_is_not_calm_and_warns_nothing(tmp_path):
         assert [(iv.start_index, iv.end_index) for iv in rp.detect_rest_periods(series, criteria)] == [(1, 6)]
         assert not rp.calm_mask(loaded.samples, loaded.dt, criteria).any()
         assert rp.detect_rest_periods(loaded, criteria) == []
+
+
+def test_calm_mask_ignores_a_strict_callers_errstate():
+    # the heave rates of 1e-310-scale samples are subnormal: they underflow
+    criteria = rp.RestCriteria(pitch_max=1.0, roll_max=1.0, heave_rate_max=1.0)
+    samples = np.random.default_rng(0).normal(size=(50, 3)) * 1e-310
+    mask = rp.calm_mask(samples, 0.1, criteria)
+    with np.errstate(all="raise"):
+        assert np.array_equal(rp.calm_mask(samples, 0.1, criteria), mask)

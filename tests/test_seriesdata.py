@@ -150,6 +150,17 @@ def test_fit_normalizer_scale_beyond_squaring_range(knox_series):
         sd.fit_normalizer(sd.MotionSeries(dt=knox_series.dt, samples=samples), 1400)
 
 
+def test_fit_normalizer_ignores_a_strict_callers_errstate():
+    # the squared deviations of 1e-200-scale samples underflow
+    samples = np.random.default_rng(0).normal(size=(50, 3)) * 1e-200
+    series = sd.MotionSeries(dt=0.1, samples=samples)
+    norm = sd.fit_normalizer(series, 40)
+    with np.errstate(all="raise"):
+        strict = sd.fit_normalizer(series, 40)
+    assert np.array_equal(strict.offset, norm.offset)
+    assert np.array_equal(strict.scale, norm.scale)
+
+
 def test_fit_normalizer_validation(knox_series):
     with pytest.raises(ValueError):
         sd.fit_normalizer(knox_series, 1)
