@@ -58,14 +58,9 @@ each GEMM and ufunc, so the threads overlap.
 A narrower batch runs as one block in the calling thread, since a B=1
 call would pay for threads and a result array it cannot use.
 
-_FUSED keeps the fused weights of a model whose wx, wh and b are all
-read-only and own their memory (a.base is None), as a loaded model's are,
-since a landing stream forecasts from one model sample after sample. The
-entry is keyed on id(wh), with wx and b checked by identity, and stored
-with a weakref.finalize on wh that drops it, so no id is reused while kept.
-Writable weights, which Adam updates in place, and read-only views of
-writable memory are fused on every call. Weights made writable, edited and
-made read-only again between two calls would be served stale.
+lstm_predict takes a kept _fused set as `fused` only from a caller whose wx,
+wh and b can never change again, as LstmParams.freeze makes a loaded model's;
+every other call fuses per call.
 
 The step loops are lean, because at B=1 the Python-side cost of each numpy
 call is a visible share of a step: ufuncs are bound to locals, outputs are
@@ -85,7 +80,6 @@ import itertools
 import math
 import os
 import threading
-import weakref
 
 import numpy as np
 
@@ -95,9 +89,6 @@ NUMBA_ENABLED = False
 
 # Widest batch block lstm_predict runs through the recurrence at once.
 PREDICT_ROWS = 224
-
-# _fused's weights of read-only models, keyed on id(wh): (wx, b, wxf, whf, bf)
-_FUSED = {}
 
 # the step loops' 1.0 (rule (a) in the module docstring)
 ONE = np.array(1.0)
@@ -121,15 +112,7 @@ def _aligned(shape):
 
 def _fused(wx, wh, b):
     """(wxf, whf, bf): wx, wh and b with the gate blocks ordered i, f, o, g
-    and those of i, f and o negated, whf 64-byte aligned; memoised in _FUSED."""
-    frozen = not (wx.flags.writeable or wh.flags.writeable or b.flags.writeable)
-    frozen = frozen and wx.base is None and wh.base is None and b.base is None
-    if not frozen:
-        # made writable again since its weights were kept
-        _FUSED.pop(id(wh), None)
-    hit = _FUSED.get(id(wh))
-    if hit is not None and hit[0] is wx and hit[1] is b:
-        return hit[2:]
+    and those of i, f and o negated, whf 64-byte aligned."""
     H = wh.shape[1]
     wxf, whf, bf = np.empty_like(wx), _aligned(wh.shape), np.empty_like(b)
     # slices and np.negative, not fancy indexing, which is slower
@@ -137,19 +120,15 @@ def _fused(wx, wh, b):
         np.negative(w[: 2 * H], v[: 2 * H])
         np.negative(w[3 * H :], v[2 * H : 3 * H])
         v[3 * H :] = w[2 * H : 3 * H]
-    if frozen and hit is None:
-        for v in (wxf, whf, bf):
-            v.setflags(write=False)
-        _FUSED[id(wh)] = (wx, b, wxf, whf, bf)
-        weakref.finalize(wh, _FUSED.pop, id(wh), None).atexit = False
     return wxf, whf, bf
 
 
-def _gate_weights(wx, wh, b, rows):
+def _gate_weights(wx, wh, b, rows, fused=None):
     """The (wx^T, wh^T, brows) _recur takes for blocks of `rows` rows: the
     fused (D, 4H) and (H, 4H) views and a (rows, 4H) bias, or, per gate, the
-    contiguous (4, D, H) and (4, H, H) gate-block stacks and a (4, rows, H) bias."""
-    wxf, whf, bf = _fused(wx, wh, b)
+    contiguous (4, D, H) and (4, H, H) gate-block stacks and a (4, rows, H)
+    bias; from fused if given, else from _fused(wx, wh, b)."""
+    wxf, whf, bf = _fused(wx, wh, b) if fused is None else fused
     H = wh.shape[1]
     if not _per_gate(rows, H):
         return wxf.T, whf.T, bf[None] if rows == 1 else np.repeat(bf[None], rows, axis=0)
@@ -301,14 +280,15 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def lstm_predict(wx, wh, b, w_out, b_out, x):
+def lstm_predict(wx, wh, b, w_out, b_out, x, *, fused=None):
     """Forward pass without activation caching; returns the (B, K) output.
-    A batch wider than PREDICT_ROWS windows runs in blocks on every CPU the
-    process may use, and the head once on their joined last hidden states."""
+    fused, if given, is the caller's kept _fused(wx, wh, b). A batch wider
+    than PREDICT_ROWS windows runs in blocks on every CPU the process may
+    use, and the head once on their joined last hidden states."""
     L, B, _ = x.shape
     H = wh.shape[1]
     if B <= PREDICT_ROWS:
-        h = _recur(*_gate_weights(wx, wh, b, B), x, *_scratch(B, H, L))
+        h = _recur(*_gate_weights(wx, wh, b, B, fused), x, *_scratch(B, H, L))
         return h.dot(w_out.T) + b_out
     n = -(-B // PREDICT_ROWS)
     workers = min(n, _cpu_count())
@@ -316,7 +296,7 @@ def lstm_predict(wx, wh, b, w_out, b_out, x):
     rows = -(-B // n)
     bounds = [B * k // n for k in range(n + 1)]
     h = np.empty((B, H))
-    wxt, wht, brows = _gate_weights(wx, wh, b, rows)
+    wxt, wht, brows = _gate_weights(wx, wh, b, rows, fused)
     scratch = [_scratch(rows, H, L) for _ in range(workers)]
     errors = []
 

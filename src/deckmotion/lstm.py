@@ -13,14 +13,17 @@ stacked along the leading 4H dimension of wx, wh and b, in the order input
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import lstm_backward, lstm_forward, lstm_predict
+from ._kernels import _fused, lstm_backward, lstm_forward, lstm_predict
 
 # Inputs and outputs are both the heave, pitch and roll channels.
 CHANNEL_DIM = 3
+
+# LstmParams' arrays, in arrays() order
+_ARRAYS = ("wx", "wh", "b", "w_out", "b_out")
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class LstmConfig:
             raise ValueError(f"lookback must be >= 1, got {self.lookback}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LstmParams:
     """All network weights, stacked per the kernel layout."""
 
@@ -44,10 +47,12 @@ class LstmParams:
     b: np.ndarray  # (4H,)
     w_out: np.ndarray  # (CHANNEL_DIM, H)
     b_out: np.ndarray  # (CHANNEL_DIM,)
+    # the kernels' fused gate weights, kept by freeze()
+    fused: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("wx", "wh", "b", "w_out", "b_out"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name in _ARRAYS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite entries in {name}")
         # a wh that is not 2-D matches no stack shape
@@ -65,7 +70,21 @@ class LstmParams:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
 
     def copy(self) -> "LstmParams":
+        """Writable copies of the arrays, with no fused gate weights."""
         return LstmParams(*(a.copy() for a in self.arrays()))
+
+    def freeze(self) -> None:
+        """Make the arrays read-only for good and fuse the gate weights once.
+
+        Each array becomes a view of an immutable bytes copy, which numpy
+        refuses to make writable again, so the fused weights never go stale.
+        """
+        for name, a in zip(_ARRAYS, self.arrays()):
+            object.__setattr__(self, name, np.frombuffer(a.tobytes()).reshape(a.shape))
+        fused = _fused(self.wx, self.wh, self.b)
+        for a in fused:
+            a.setflags(write=False)
+        object.__setattr__(self, "fused", fused)
 
 
 def init_params(config: LstmConfig, seed: int) -> LstmParams:
@@ -96,7 +115,7 @@ def _kernel_input(windows: np.ndarray) -> np.ndarray:
 def predict_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """Predict a whole (B, L, 3) batch at once; returns (B, 3)."""
     x = _kernel_input(windows)
-    return lstm_predict(params.wx, params.wh, params.b, params.w_out, params.b_out, x)
+    return lstm_predict(*params.arrays(), x, fused=params.fused)
 
 
 def loss_and_gradients(

@@ -195,8 +195,9 @@ class Normalizer:
 def fit_normalizer(series: MotionSeries, fit_range_end: int) -> Normalizer:
     """Per-channel z-score statistics over samples 0..fit_range_end-1.
 
-    Uses the population standard deviation (by np.hypot where squares overflow);
-    a constant channel gets scale 1 so the map stays invertible.
+    Uses the population standard deviation (by np.hypot where squares overflow
+    or underflow to 0); a constant channel gets scale 1 so the map stays
+    invertible.
     """
     if fit_range_end < 2:
         raise ValueError(f"fit_range_end must be >= 2, got {fit_range_end}")
@@ -206,8 +207,8 @@ def fit_normalizer(series: MotionSeries, fit_range_end: int) -> Normalizer:
     with np.errstate(all="ignore"):
         offset = segment.mean(axis=0)
         scale = segment.std(axis=0)
-        big = ~np.isfinite(scale)
-        scale[big] = np.hypot.reduce(segment[:, big] - offset[big], axis=0) / math.sqrt(fit_range_end)
+        lost = ~np.isfinite(scale) | (scale == 0.0)
+        scale[lost] = np.hypot.reduce(segment[:, lost] - offset[lost], axis=0) / math.sqrt(fit_range_end)
     if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(scale))):
         peak = np.abs(segment).max()
         raise ValueError(f"samples reach magnitude {peak:.3g}: their mean or spread overflows float64")

@@ -180,8 +180,9 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
 
 
 def model_from_dict(doc: dict) -> ModelArtifact:
-    """The artifact a model document describes, with read-only parameter
-    arrays; anything else raises ValueError."""
+    """The artifact a model document describes, its parameters frozen for
+    good and their gate weights fused once (LstmParams.freeze); anything else
+    raises ValueError."""
     json_object(doc, "model document")
     if "format_version" not in doc:
         raise ValueError("missing format_version")
@@ -212,10 +213,7 @@ def model_from_dict(doc: dict) -> ModelArtifact:
         blocks = {name: _block(params_doc, name, shape) for name, shape in shapes.items()}
         wx, wh, b = (np.concatenate([blocks[f"{name}_{gate}"] for gate in GATES]) for name in per_gate)
         params = LstmParams(wx, wh, b, blocks["w_out"], blocks["b_out"])  # refuses non-finite weights
-        # read-only, as the normalizer is, so the kernels fuse the gate
-        # weights once per model; params.copy() is writable
-        for arr in params.arrays():
-            arr.setflags(write=False)
+        params.freeze()
         provenance = str(doc.get("provenance", ""))
     # OverflowError: an integer beyond float64, such as 1e400 written in full
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -244,7 +242,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 
 def load_model(path) -> ModelArtifact:
-    """The model a file holds. Its parameter arrays are read-only, so that
-    forecasts build the kernels' fused gate weights once per model;
+    """The model a file holds. Its parameters are frozen for good, and their
+    gate weights fused once, for every forecast from it;
     artifact.params.copy() gives writable ones."""
     return model_from_dict(json_load(path))

@@ -33,15 +33,25 @@ def test_cases_are_the_four_kernels_at_hidden_64():
     assert kab.ONE_THREAD["OPENBLAS_NUM_THREADS"] == "1"
 
 
-def test_forecasts_take_read_only_weights_and_training_writable_ones():
+def test_forecasts_take_read_only_weights_and_training_writable_ones(monkeypatch):
     # as a loaded model's and Adam's are, so that each case times the
-    # weights its callers pass
+    # weights its callers pass; kernels whose lstm_predict takes `fused` get
+    # their own fused gate weights, built once per case and never in a call
     inputs = kab.make_inputs()
     for name in NAMES:
         weights, x, dy = inputs[name]
         assert len(weights) == 5 and x.shape[1] == dy.shape[0]
         assert all(w.flags.writeable == (name == "train_b32") for w in weights), name
         assert all(w.base is None for w in weights), name
+    K = kab.load(ROOT / kab.KERNELS, "kernels_fused")
+    expected = {name: K.lstm_predict(*inputs[name][0], inputs[name][1]) for name in ("predict_b1", "predict_b1960")}
+    fuse, built = K._fused, []
+    monkeypatch.setattr(K, "_fused", lambda *w: built.append(fuse(*w)) or built[-1])
+    for name, y in expected.items():
+        built.clear()
+        call = kab.case_call(K, name, inputs)
+        assert len(built) == 1, name
+        assert all(np.array_equal(call()[0], y) for _ in range(2)) and len(built) == 1, name
 
 
 def test_summary_gives_medians_quartiles_and_wins():

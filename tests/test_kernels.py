@@ -3,7 +3,6 @@ uncached forward passes, bit-identity with the model-order recurrence, and
 the names the benchmark harness reads."""
 
 import ast
-import gc
 import inspect
 import itertools
 import textwrap
@@ -238,84 +237,37 @@ def test_per_gate_product_is_exact_where_chosen():
     assert chosen > 50
 
 
-def _read_only(arrays):
-    """Read-only copies that own their memory, as a loaded model's are."""
-    copies = [a.copy() for a in arrays]
-    for a in copies:
-        a.setflags(write=False)
-    return copies
-
-
 @pytest.mark.parametrize("hidden", [3, 8, 64])
-def test_read_only_weights_forecast_as_writable_ones(hidden):
-    # read-only weights take _fused's kept arrays from their second call
-    # on, on the fused and the per-gate path, in one block and in several;
-    # every forecast must equal that of a writable copy, built afresh
+def test_kept_fused_weights_forecast_as_fused_per_call(hidden):
+    # a caller's kept _fused set, on the fused and the per-gate path, in one
+    # block and in several, must forecast as the weights fused per call
     for batch in (1, 2, 5, 32, 245, 257, 1960):
         params, x = _random_case(hidden + batch, hidden=hidden, lookback=5, batch=batch)
-        args = (*params.arrays(), x)
-        kept = (*_read_only(params.arrays()), x)
-        expected = K.lstm_predict(*args)
-        assert id(kept[1]) not in K._FUSED
-        for memo in ("cold", "warm"):
-            assert np.array_equal(K.lstm_predict(*kept), expected), (batch, memo)
-            assert id(kept[1]) in K._FUSED
+        expected = K.lstm_predict(*params.arrays(), x)
+        kept = K._fused(params.wx, params.wh, params.b)
+        assert np.array_equal(K.lstm_predict(*params.arrays(), x, fused=kept), expected), batch
 
 
-def test_edited_weights_are_never_served_stale():
-    # writable weights, a read-only view of writable memory and weights
-    # made writable again may all change between two forecasts
-    params, x = _random_case(8, hidden=8, lookback=5, batch=1)
-    rng = np.random.default_rng(8)
-    views = [a.view() for a in params.arrays()]
-    for a in views:
-        a.setflags(write=False)
-    kept = _read_only(params.arrays())
-    for weights, edited in ((params.arrays(), params.wh), (views, params.wh), (kept, kept[1])):
-        K.lstm_predict(*weights, x)
-        edited.setflags(write=True)
-        edited += rng.normal(size=edited.shape)
-        expected = K.lstm_predict(*(a.copy() for a in weights), x)
-        assert np.array_equal(K.lstm_predict(*weights, x), expected)
-    assert id(params.wh) not in K._FUSED and id(kept[1]) not in K._FUSED
-
-
-def test_concurrent_first_forecasts_keep_one_entry(monkeypatch, tmp_path):
-    # two threads make the first forecasts from one freshly loaded model,
-    # at B=1 and in blocks at B=1960, and both miss _FUSED: each waits in
-    # _aligned until the other has missed too. Each forecast must equal a
-    # writable copy's, the model must hold one entry, and none may outlive it
-    config = LstmConfig(hidden_dim=64, lookback=40)
-    path = tmp_path / "model.json"
-    training.save_model(training.ModelArtifact(config, init_params(config, 5), seriesdata.Normalizer()), path)
-    params = training.load_model(path).params
-    rng = np.random.default_rng(5)
-    windows = {batch: rng.normal(size=(batch, 40, 3)) for batch in (1, 1960)}
-    expected = {batch: lstm.predict_windows(params.copy(), w) for batch, w in windows.items()}
-    both_missed = threading.Barrier(2, timeout=10)
-    aligned = K._aligned
-
-    def aligned_once_both_missed(shape):
-        both_missed.wait()
-        return aligned(shape)
-
-    monkeypatch.setattr(K, "_aligned", aligned_once_both_missed)
-    got = {}
-    threads = [threading.Thread(target=lambda b=b: got.update({b: lstm.predict_windows(params, windows[b])}))
-               for b in windows]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    for batch in windows:
-        assert np.array_equal(got[batch], expected[batch]), batch
-    key = id(params.wh)
-    assert [entry[0] is params.wx for entry in K._FUSED.values()].count(True) == 1
-    assert K._FUSED[key][0] is params.wx and K._FUSED[key][1] is params.b
-    del params
-    gc.collect()
-    assert key not in K._FUSED
+def test_frozen_weights_never_become_writable(monkeypatch):
+    # freeze() keeps the fused gate weights for good, so no frozen array may
+    # be made writable again, nor any array it is a view of; its forecasts
+    # take the kept set and equal the unfrozen weights'
+    params = init_params(LstmConfig(hidden_dim=8, lookback=5), 8)
+    windows = np.random.default_rng(8).normal(size=(1960, 5, 3))
+    expected = {batch: lstm.predict_windows(params, windows[:batch]) for batch in (1, 1960)}
+    params.freeze()
+    for a in (*params.arrays(), *params.fused):
+        assert not a.flags.writeable
+    for a in params.arrays():
+        while isinstance(a, np.ndarray):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
+            a = a.base
+    monkeypatch.setattr(K, "_fused", None)
+    for batch, y in expected.items():
+        assert np.array_equal(lstm.predict_windows(params, windows[:batch]), y), batch
+    copy = params.copy()
+    assert copy.fused is None and all(a.flags.writeable for a in copy.arrays())
 
 
 def test_threaded_predict_keeps_callers_errstate(monkeypatch):

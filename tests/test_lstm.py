@@ -130,8 +130,7 @@ def test_hidden_activation_bound():
     rng = np.random.default_rng(8)
     p = L.init_params(L.LstmConfig(hidden_dim=6), 1)
     # scale weights up to push the gates toward saturation
-    p.wx *= 50.0
-    p.wh *= 50.0
+    p = L.LstmParams(p.wx * 50.0, p.wh * 50.0, p.b, p.w_out, p.b_out)
     state = zero_state(6)
     for _ in range(100):
         state = cell_forward(p, rng.normal(size=3) * 100.0, state)

@@ -150,6 +150,19 @@ def test_fit_normalizer_scale_beyond_squaring_range(knox_series):
         sd.fit_normalizer(sd.MotionSeries(dt=knox_series.dt, samples=samples), 1400)
 
 
+def test_fit_normalizer_scale_below_squaring_range():
+    # the squared deviations of 1e-200-scale samples underflow to 0, so std
+    # reads 0; the scale is still their RMS, and a constant channel's 1
+    # (2^-660, about 2e-199, so that its mean is exact)
+    samples = np.random.default_rng(0).normal(size=(40, 3)) * 1e-200
+    samples[:, 2] = 2.0**-660
+    norm = sd.fit_normalizer(sd.MotionSeries(dt=0.1, samples=samples), 40)
+    rms = np.hypot.reduce(samples[:, :2] - norm.offset[:2], axis=0) / np.sqrt(40)
+    assert np.array_equal(norm.scale[:2], rms)
+    assert 5e-201 < rms.min() and rms.max() < 2e-200
+    assert norm.scale[2] == 1.0
+
+
 def test_fit_normalizer_ignores_a_strict_callers_errstate():
     # the squared deviations of 1e-200-scale samples underflow
     samples = np.random.default_rng(0).normal(size=(50, 3)) * 1e-200

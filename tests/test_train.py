@@ -1,16 +1,13 @@
 """Training loop determinism, the exact Adam update, and model persistence."""
 
-import gc
 import hashlib
 import json
 import tracemalloc
-import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from deckmotion import _kernels as K
 from deckmotion import cli
 from deckmotion import lstm as L
 from deckmotion import seriesdata as sd
@@ -172,8 +169,8 @@ def test_save_load_round_trip_bitwise(artifact, tmp_path):
 
 
 def test_loaded_parameters_are_read_only(artifact, tmp_path):
-    # the kernels keep a loaded model's fused gate weights on the strength
-    # of this; a copy is writable, as training's parameters are
+    # a loaded model keeps its fused gate weights, which holds only while
+    # its parameters never change; a copy is writable, as training's are
     path = tmp_path / "model.json"
     tr.save_model(artifact, path)
     loaded = tr.load_model(path)
@@ -182,19 +179,6 @@ def test_loaded_parameters_are_read_only(artifact, tmp_path):
             arr[0] = 0.0
     for arr in loaded.params.copy().arrays():
         arr[0] = 0.0
-
-
-def test_fused_weights_live_as_long_as_the_model(artifact, tmp_path):
-    path = tmp_path / "model.json"
-    tr.save_model(artifact, path)
-    loaded = tr.load_model(path)
-    key, wh = id(loaded.params.wh), weakref.ref(loaded.params.wh)
-    L.predict_windows(loaded.params, np.zeros((1, artifact.config.lookback, 3)))
-    assert key in K._FUSED
-    del loaded
-    gc.collect()
-    assert wh() is None
-    assert key not in K._FUSED
 
 
 def test_landing_step_rebuilds_no_weights(tmp_path):

@@ -14,9 +14,12 @@ seed, in these cases:
     train_b32          B=32 lstm_forward, then lstm_backward on its cache
     predict_b1         B=1 lstm_predict
 
-The forecasts take read-only copies of the weights, as a loaded model's
-are, and training takes them writable, as Adam's are; both sides get the
-very same arrays.
+Each case times the weights its callers pass, and both sides get the very
+same arrays. Training takes them writable, as Adam's are. The forecasts
+take read-only copies, as a loaded model's are, and a side whose
+lstm_predict takes `fused` also gets that side's own _fused set, built once
+per case outside the timed calls, as a loaded model keeps it; an older side
+reaches its memo of read-only weights instead.
 
 In a pair, each case makes one warm-up call per side, whose outputs are
 compared byte for byte, then alternates the sides call by call, in
@@ -34,6 +37,7 @@ every pair (`no` otherwise). Stdlib and numpy only.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import os
 import statistics
 import sys
@@ -87,6 +91,11 @@ def case_call(K, name, inputs):
         def call():
             y, acts = K.lstm_forward(wx, wh, b, w_out, b_out, x)
             return y, acts, *K.lstm_backward(wx, wh, w_out, x, acts, dy)
+    elif "fused" in inspect.signature(K.lstm_predict).parameters:
+        fused = K._fused(wx, wh, b)
+
+        def call():
+            return (K.lstm_predict(wx, wh, b, w_out, b_out, x, fused=fused),)
     else:
         def call():
             return (K.lstm_predict(wx, wh, b, w_out, b_out, x),)
